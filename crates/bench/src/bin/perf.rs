@@ -6,12 +6,11 @@
 //! versus the current one. For extraction and training the seed is
 //! dense `O(|E|)` extraction on one thread versus sparse extraction on
 //! `--threads` workers; for evaluation the seed additionally scores
-//! through the autograd tape, while the current pipeline uses the
-//! batched candidate-ranking engine ([`dekg_core::ScoringPath`]) — a
-//! separate `batched` section isolates that engine's win over the
-//! per-candidate forward-only path, and a `serve` section boots the
-//! `dekg serve` daemon to split its one-time startup cost from warm
-//! per-request latency. Every timed pair is also checked for identical
+//! through the autograd tape ([`dekg_core::TapeReference`]), while the
+//! current pipeline uses the batched candidate-ranking engine behind
+//! `DekgIlp::score_batch`. A `serve` section boots the `dekg serve`
+//! daemon to split its one-time startup cost from warm per-request
+//! latency. Every timed pair is also checked for identical
 //! output, so the speedups are measured against a bit-equal baseline,
 //! not a different computation.
 //!
@@ -24,7 +23,7 @@
 //! numbers relate to the paper's Table IV, and `DESIGN.md` for why the
 //! parallel pipeline is bitwise-deterministic.
 
-use dekg_core::{DekgIlp, DekgIlpConfig, InferenceGraph, ScoringPath, TrainableModel};
+use dekg_core::{DekgIlp, DekgIlpConfig, InferenceGraph, TapeReference, TrainableModel};
 use dekg_datasets::{
     generate, item_rng, loader, DatasetProfile, DekgDataset, MixRatio, RawKg, SplitKind,
     SynthConfig, TestMix,
@@ -362,7 +361,7 @@ fn time_serve(opts: &Opts) -> ServeSection {
 
     // The query set: tail-ranking the first held-out enclosing links,
     // with the expected reply reconstructed through the same library
-    // entry points `dekg evaluate --scoring batched` uses.
+    // entry points `dekg evaluate` uses.
     let links = served.test_enclosing.len().min(12);
     // Cheap probe queries: the section measures serving overhead (HTTP,
     // admission batching, warm workspaces), so a small candidate set
@@ -573,10 +572,6 @@ struct Report {
     extraction: Section,
     train_epoch: Section,
     eval: Section,
-    /// The batched candidate-ranking engine against the per-candidate
-    /// forward-only pipeline — isolates what block-diagonal packing and
-    /// BFS reuse add on top of dropping the tape.
-    batched: Section,
     /// Static tape analysis overhead: cold vs cache-served, relative to
     /// the cost of recording the tape itself.
     tapecheck: TapecheckSection,
@@ -651,18 +646,12 @@ fn time_train_epoch(dataset: &DekgDataset, opts: &Opts) -> Section {
     )
 }
 
-/// Full filtered-ranking evaluation, three ways: the seed pipeline
-/// (tape scoring, dense extraction, serial), the per-candidate
-/// forward-only pipeline, and the batched candidate-ranking engine.
+/// Full filtered-ranking evaluation, two ways: the seed pipeline (the
+/// tape oracle, dense extraction, serial) against the batched
+/// candidate-ranking engine on sparse extraction and `threads` workers.
 ///
-/// Returns the headline section (seed vs batched), the `batched`
-/// section isolating the batched engine's own win over the
-/// per-candidate forward path, the query count and the batched result.
-fn time_eval(
-    dataset: &DekgDataset,
-    graph: &InferenceGraph,
-    opts: &Opts,
-) -> (Section, Section, usize, EvalResult) {
+/// Returns the section and the engine's result.
+fn time_eval(dataset: &DekgDataset, graph: &InferenceGraph, opts: &Opts) -> (Section, EvalResult) {
     let cfg = DekgIlpConfig { epochs: opts.epochs, ..DekgIlpConfig::quick() };
     let mut rng = ChaCha8Rng::seed_from_u64(opts.seed);
     let mut model = DekgIlp::new(cfg, dataset, &mut rng);
@@ -676,47 +665,25 @@ fn time_eval(
     // dense extraction, one thread.
     protocol.threads = 1;
     model.set_distance_backend(DistanceBackend::DenseReference);
-    model.set_scoring_path(ScoringPath::TapeReference);
-    let base = evaluate(&model, graph, dataset, &mix, &protocol);
-
-    // Per-candidate forward-only scoring, sparse extraction, N threads
-    // (the previous "current" pipeline).
-    protocol.threads = opts.threads;
-    model.set_distance_backend(DistanceBackend::Sparse);
-    model.set_scoring_path(ScoringPath::Inference);
-    let per_candidate = evaluate(&model, graph, dataset, &mix, &protocol);
+    let base = evaluate(&TapeReference(&model), graph, dataset, &mix, &protocol);
 
     // Current: the batched candidate-ranking engine.
-    model.set_scoring_path(ScoringPath::Batched);
+    protocol.threads = opts.threads;
+    model.set_distance_backend(DistanceBackend::Sparse);
     let batched = evaluate(&model, graph, dataset, &mix, &protocol);
 
-    let metrics_eq = |a: &EvalResult, b: &EvalResult| {
-        a.overall == b.overall && a.enclosing == b.enclosing && a.bridging == b.bridging
-    };
-    let eval_section = section(
+    let section = section(
         Timed { backend: "tape+dense".into(), threads: 1, seconds: base.timing.wall_seconds },
         Timed {
             backend: "batched+sparse".into(),
             threads: opts.threads,
             seconds: batched.timing.wall_seconds,
         },
-        metrics_eq(&base, &batched),
+        base.overall == batched.overall
+            && base.enclosing == batched.enclosing
+            && base.bridging == batched.bridging,
     );
-    let batched_section = section(
-        Timed {
-            backend: "inference+sparse".into(),
-            threads: opts.threads,
-            seconds: per_candidate.timing.wall_seconds,
-        },
-        Timed {
-            backend: "batched+sparse".into(),
-            threads: opts.threads,
-            seconds: batched.timing.wall_seconds,
-        },
-        metrics_eq(&per_candidate, &batched),
-    );
-    let queries = batched.timing.queries;
-    (eval_section, batched_section, queries, batched)
+    (section, batched)
 }
 
 /// The zero-allocation sanitizer: builds a small model, extracts and
@@ -872,7 +839,6 @@ const TRACKED_RATIOS: &[&str] = &[
     "extraction.speedup",
     "train_epoch.speedup",
     "eval.speedup",
-    "batched.speedup",
     "end_to_end_eval_speedup",
     "profile.coverage",
 ];
@@ -1064,7 +1030,8 @@ fn main() {
     );
 
     println!("timing full evaluation…");
-    let (eval, batched, eval_queries, result) = time_eval(&dataset, &graph, &opts);
+    let (eval, result) = time_eval(&dataset, &graph, &opts);
+    let eval_queries = result.timing.queries;
     println!(
         "  tape+dense/serial {:.2}s  batched+sparse/{}t {:.2}s  speedup {:.2}x  \
          identical metrics: {}  ({} queries, {:.1}/s)",
@@ -1075,14 +1042,6 @@ fn main() {
         eval.outputs_identical,
         eval_queries,
         result.timing.queries_per_second
-    );
-    println!(
-        "  batched engine vs per-candidate: {:.2}s -> {:.2}s  speedup {:.2}x  \
-         identical metrics: {}",
-        batched.baseline.seconds,
-        batched.current.seconds,
-        batched.speedup,
-        batched.outputs_identical
     );
 
     println!("timing tape static analysis…");
@@ -1142,7 +1101,6 @@ fn main() {
         extraction,
         train_epoch,
         eval,
-        batched,
         tapecheck,
         serve,
         profile,
@@ -1160,7 +1118,6 @@ fn main() {
         report.extraction.outputs_identical
             && report.train_epoch.outputs_identical
             && report.eval.outputs_identical
-            && report.batched.outputs_identical
             && report.serve.responses_identical,
         "parallel/sparse/batched/served pipeline diverged from its baseline"
     );

@@ -2,6 +2,29 @@
 
 use std::collections::{HashMap, HashSet};
 
+/// The flags observability-aware commands share (see `obs_init`).
+pub const OBSERVABILITY_FLAGS: &[&str] =
+    &["log-level", "metrics-out", "trace-out", "prom-out", "chrome-trace"];
+
+/// The flags one subcommand accepts. Anything else on its command line
+/// is an error, so a typo or a retired flag never runs with defaults.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FlagSpec {
+    /// Valueless booleans (`--check`): present or absent, never
+    /// consuming the next argument.
+    pub switches: &'static [&'static str],
+    /// `--key value` flags.
+    pub values: &'static [&'static str],
+    /// Whether [`OBSERVABILITY_FLAGS`] are accepted too.
+    pub observability: bool,
+}
+
+impl FlagSpec {
+    fn takes_value(&self, key: &str) -> bool {
+        self.values.contains(&key) || (self.observability && OBSERVABILITY_FLAGS.contains(&key))
+    }
+}
+
 /// Parsed command-line flags.
 #[derive(Debug, Default)]
 pub struct Flags {
@@ -10,30 +33,23 @@ pub struct Flags {
 }
 
 impl Flags {
-    /// Parses `--key value` pairs; rejects dangling flags.
-    ///
-    /// Thin switchless wrapper over [`Flags::parse_with_switches`];
-    /// `main` always goes through the switch-aware entry point, so
-    /// this survives for the test suite only.
-    #[cfg(test)]
-    pub fn parse(argv: &[String]) -> Result<Flags, String> {
-        Self::parse_with_switches(argv, &[])
-    }
-
-    /// Like `Flags::parse`, but the named `switches` are valueless
-    /// booleans (`--check`): present or absent, never consuming the
-    /// next argument. Every other flag still requires a value.
-    pub fn parse_with_switches(argv: &[String], switches: &[&str]) -> Result<Flags, String> {
+    /// Parses `argv` against `spec`: switches stand alone, every other
+    /// flag takes the next argument as its value. Rejects dangling
+    /// flags, bare words and any flag `spec` does not name.
+    pub fn parse(argv: &[String], spec: &FlagSpec) -> Result<Flags, String> {
         let mut flags = Flags::default();
         let mut i = 0;
         while i < argv.len() {
             let key = argv[i]
                 .strip_prefix("--")
                 .ok_or_else(|| format!("expected a --flag, got {:?}", argv[i]))?;
-            if switches.contains(&key) {
+            if spec.switches.contains(&key) {
                 flags.switches.insert(key.to_owned());
                 i += 1;
                 continue;
+            }
+            if !spec.takes_value(key) {
+                return Err(format!("unknown flag --{key}"));
             }
             let value = argv.get(i + 1).ok_or_else(|| format!("flag --{key} needs a value"))?;
             flags.values.insert(key.to_owned(), value.clone());
@@ -80,9 +96,15 @@ mod tests {
         s.iter().map(ToString::to_string).collect()
     }
 
+    const SPEC: FlagSpec = FlagSpec {
+        switches: &["check"],
+        values: &["data", "epochs", "seed"],
+        observability: false,
+    };
+
     #[test]
     fn parses_pairs() {
-        let f = Flags::parse(&argv(&["--data", "d", "--epochs", "5"])).unwrap();
+        let f = Flags::parse(&argv(&["--data", "d", "--epochs", "5"]), &SPEC).unwrap();
         assert_eq!(f.required("data").unwrap(), "d");
         assert_eq!(f.parse_or("epochs", 1usize).unwrap(), 5);
         assert_eq!(f.parse_or("seed", 7u64).unwrap(), 7);
@@ -90,26 +112,26 @@ mod tests {
 
     #[test]
     fn rejects_dangling_flag() {
-        assert!(Flags::parse(&argv(&["--data"])).is_err());
-        assert!(Flags::parse(&argv(&["data", "x"])).is_err());
+        assert!(Flags::parse(&argv(&["--data"]), &SPEC).is_err());
+        assert!(Flags::parse(&argv(&["data", "x"]), &SPEC).is_err());
     }
 
     #[test]
     fn missing_required_is_error() {
-        let f = Flags::parse(&argv(&[])).unwrap();
+        let f = Flags::parse(&argv(&[]), &SPEC).unwrap();
         assert!(f.required("data").is_err());
     }
 
     #[test]
     fn bad_parse_reports_flag() {
-        let f = Flags::parse(&argv(&["--epochs", "many"])).unwrap();
+        let f = Flags::parse(&argv(&["--epochs", "many"]), &SPEC).unwrap();
         let err = f.parse_or("epochs", 1usize).unwrap_err();
         assert!(err.contains("--epochs"));
     }
 
     #[test]
     fn switches_take_no_value() {
-        let f = Flags::parse_with_switches(&argv(&["--check", "--data", "d"]), &["check"]).unwrap();
+        let f = Flags::parse(&argv(&["--check", "--data", "d"]), &SPEC).unwrap();
         assert!(f.switch("check"));
         assert_eq!(f.required("data").unwrap(), "d");
         assert!(!f.switch("verbose"));
@@ -117,9 +139,23 @@ mod tests {
 
     #[test]
     fn trailing_switch_is_not_dangling() {
-        let f = Flags::parse_with_switches(&argv(&["--data", "d", "--check"]), &["check"]).unwrap();
+        let f = Flags::parse(&argv(&["--data", "d", "--check"]), &SPEC).unwrap();
         assert!(f.switch("check"));
-        // An unknown trailing flag is still a dangling-flag error.
-        assert!(Flags::parse_with_switches(&argv(&["--data"]), &["check"]).is_err());
+        // A known value flag at the end is still a dangling-flag error.
+        assert!(Flags::parse(&argv(&["--data"]), &SPEC).is_err());
+    }
+
+    #[test]
+    fn rejects_unknown_flags_by_name() {
+        let err = Flags::parse(&argv(&["--data", "d", "--epoch", "5"]), &SPEC).unwrap_err();
+        assert!(err.contains("--epoch"), "{err}");
+        // A switch of another command is unknown here too.
+        let err = Flags::parse(&argv(&["--json"]), &SPEC).unwrap_err();
+        assert!(err.contains("--json"), "{err}");
+        // Observability flags only where the spec opts in.
+        let args = argv(&["--log-level", "warn"]);
+        assert!(Flags::parse(&args, &SPEC).is_err());
+        let obs = FlagSpec { observability: true, ..SPEC };
+        assert_eq!(Flags::parse(&args, &obs).unwrap().get("log-level"), Some("warn"));
     }
 }

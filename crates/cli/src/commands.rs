@@ -1,6 +1,6 @@
 //! The CLI subcommands.
 
-use crate::args::Flags;
+use crate::args::{FlagSpec, Flags};
 use dekg_core::{DekgIlp, DekgIlpConfig, InferenceGraph, LinkPredictor, TrainableModel};
 use dekg_datasets::{
     generate as synth_generate, loader, DatasetProfile, DatasetStats, DekgDataset, MixRatio, RawKg,
@@ -23,7 +23,7 @@ commands:
   train     --data DIR [--check] [--tape-report] [--epochs N] [--dim N] [--seed N]
             [--gradcheck-every N] [--threads N] --ckpt FILE [observability flags]
   evaluate  --data DIR --ckpt FILE [--candidates N] [--split eq|mb|me] [--seed N]
-            [--threads N] [--scoring batched|per-candidate|tape] [observability flags]
+            [--threads N] [observability flags]
   predict   --data DIR --ckpt FILE --rel NAME (--head NAME | --tail NAME) [--top N]
   serve     --data DIR --ckpt FILE [--addr HOST:PORT] [--workers N] [--max-batch N]
             [--max-wait-ms N] [--queue-depth N] [--slow-ms N] [--port-file FILE]
@@ -48,6 +48,54 @@ observability flags (train, evaluate, serve, profile):
   --chrome-trace FILE               Chrome trace-event JSON written at exit
                                     (open in Perfetto / chrome://tracing)
 ";
+
+/// The flags `dekg <command> [mode]` accepts — the usage text above,
+/// as data. `main` parses against it, so an unknown flag fails by name
+/// instead of being ignored.
+///
+/// # Errors
+/// An unknown command or `profile` mode.
+pub fn flag_spec(command: &str, mode: &str) -> Result<FlagSpec, String> {
+    type Names = &'static [&'static str];
+    let (switches, values, observability): (Names, Names, bool) = match (command, mode) {
+        ("generate", _) => (&[], &["raw", "split", "scale", "seed", "out"], false),
+        ("stats", _) => (&[], &["data"], false),
+        ("check", _) => {
+            (&["grads", "tape", "json"], &["data", "raw", "split", "scale", "seed"], false)
+        }
+        ("train", _) => (
+            &["check", "tape-report"],
+            &["data", "epochs", "dim", "seed", "gradcheck-every", "threads", "ckpt"],
+            true,
+        ),
+        ("evaluate", _) => (&[], &["data", "ckpt", "candidates", "split", "seed", "threads"], true),
+        ("predict", _) => (&[], &["data", "ckpt", "rel", "head", "tail", "top"], false),
+        ("serve", _) => (
+            &[],
+            &[
+                "data",
+                "ckpt",
+                "addr",
+                "workers",
+                "max-batch",
+                "max-wait-ms",
+                "queue-depth",
+                "slow-ms",
+                "port-file",
+            ],
+            true,
+        ),
+        ("request", _) => (&["timing"], &["addr", "path", "method", "body"], false),
+        ("profile", "train") => (&[], &["data", "batches", "distinct", "seed"], true),
+        ("profile", "eval") => (&[], &["data", "queries", "candidates", "seed"], true),
+        ("profile", other) => return Err(format!("unknown profile mode {other:?} (train|eval)")),
+        ("obslint", _) => (&["chrome"], &["file", "require"], false),
+        ("lint", _) => (&["json"], &["root"], false),
+        ("help" | "--help" | "-h", _) => (&[], &[], false),
+        (other, _) => return Err(format!("unknown command {other:?}")),
+    };
+    Ok(FlagSpec { switches, values, observability })
+}
 
 type CliResult = Result<(), Box<dyn std::error::Error>>;
 
@@ -405,12 +453,7 @@ fn restore(flags: &Flags, dataset: &DekgDataset) -> Result<DekgIlp, Box<dyn std:
 pub fn evaluate(flags: &Flags) -> CliResult {
     obs_init(flags)?;
     let dataset = load_dataset(flags)?;
-    let mut model = restore(flags, &dataset)?;
-    if let Some(s) = flags.get("scoring") {
-        let path = dekg_core::ScoringPath::parse(s)
-            .ok_or_else(|| format!("unknown scoring path {s:?} (batched|per-candidate|tape)"))?;
-        model.set_scoring_path(path);
-    }
+    let model = restore(flags, &dataset)?;
     let split = match flags.get("split") {
         Some(s) => parse_split(s)?,
         None => SplitKind::Eq,

@@ -41,19 +41,12 @@ fn main() -> ExitCode {
         }
         profile_mode = argv.remove(0);
     }
-    // Valueless boolean switches, per command.
-    let switches: &[&str] = match command.as_str() {
-        "train" => &["check", "tape-report"],
-        "check" => &["grads", "tape", "json"],
-        "lint" => &["json"],
-        "request" => &["timing"],
-        "obslint" => &["chrome"],
-        _ => &[],
-    };
-    let flags = match args::Flags::parse_with_switches(&argv, switches) {
+    let flags = match commands::flag_spec(&command, &profile_mode)
+        .and_then(|spec| args::Flags::parse(&argv, &spec))
+    {
         Ok(f) => f,
         Err(e) => {
-            eprintln!("error: {e}\n\n{}", commands::USAGE);
+            eprintln!("error: dekg {command}: {e}\n\n{}", commands::USAGE);
             return ExitCode::FAILURE;
         }
     };
@@ -73,7 +66,7 @@ fn main() -> ExitCode {
             println!("{}", commands::USAGE);
             Ok(())
         }
-        other => Err(format!("unknown command {other:?}").into()),
+        _ => unreachable!("flag_spec rejects unknown commands"),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,

@@ -96,10 +96,12 @@ impl Gsm {
         g.matmul(cat, w)
     }
 
-    /// Scores many subgraphs on one tape with parameters mounted once —
-    /// the evaluation fast path (mounting the per-relation weight stack
-    /// per candidate dominates scoring cost otherwise). Returns the raw
-    /// `f32` scores; no dropout is applied (evaluation semantics).
+    /// Scores many subgraphs on one tape with parameters mounted once
+    /// (mounting the per-relation weight stack per candidate would
+    /// dominate otherwise). Returns the raw `f32` scores; no dropout is
+    /// applied (evaluation semantics). This is the reference the packed
+    /// engine ([`Gsm::score_subgraphs_batched`]) is pinned to, reached
+    /// end to end through [`crate::TapeReference`].
     pub fn score_subgraphs_eval(
         &self,
         params: &ParamStore,
@@ -152,51 +154,15 @@ impl Gsm {
         (g, out)
     }
 
-    /// Scores many subgraphs through the forward-only encoder — no
-    /// autograd tape at all. Bitwise identical to
-    /// [`Gsm::score_subgraphs_eval`] (same kernels, same op order; see
-    /// [`dekg_gnn::SubgraphEncoder::encode_inference`]) but skips the
-    /// tape's node bookkeeping, which dominates evaluation cost.
-    pub fn score_subgraphs_inference(
-        &self,
-        params: &ParamStore,
-        items: &[(&Subgraph, dekg_kg::RelationId)],
-    ) -> Vec<f32> {
-        let rel_tpo = params.get(self.rel_tpo);
-        let w = params.get(self.w_out).data();
-        let d = self.dim;
-        let mut cat = vec![0.0f32; 4 * d];
-        // The r^tpo block of `cat` only changes when the relation does —
-        // constant across a ranking query's candidates, so skip the
-        // per-candidate re-copy.
-        let mut cur_rel: Option<usize> = None;
-        items
-            .iter()
-            .map(|(sg, rel)| {
-                let enc = self.encoder.encode_inference(params, sg);
-                cat[..d].copy_from_slice(&enc.graph);
-                cat[d..2 * d].copy_from_slice(&enc.head);
-                cat[2 * d..3 * d].copy_from_slice(&enc.tail);
-                if cur_rel != Some(rel.index()) {
-                    cat[3 * d..].copy_from_slice(rel_tpo.row(rel.index()));
-                    cur_rel = Some(rel.index());
-                }
-                let mut out = [0.0f32];
-                kernels::matmul(&cat, w, &mut out, 1, 4 * d, 1);
-                out[0]
-            })
-            .collect()
-    }
-
     /// Scores a block-diagonal batch of subgraphs (`rels[i]` pairing
     /// with segment `i`) through the batched encoder, appending one
     /// score per segment to `out`.
     ///
-    /// Bitwise identical to [`Gsm::score_subgraphs_inference`] over the
-    /// same (subgraph, relation) pairs: the batched encoder is pinned
-    /// to the per-subgraph encoder segment by segment, and the final
-    /// `[b, 4d] × [4d, 1]` readout matmul computes each row exactly as
-    /// the per-candidate `[1, 4d]` matmul does (rows are independent).
+    /// Bitwise identical to [`Gsm::score_subgraphs_eval`] over the same
+    /// (subgraph, relation) pairs: the batched encoder is pinned to the
+    /// tape encoder segment by segment, and the final `[b, 4d] × [4d, 1]`
+    /// readout matmul computes each row exactly as the tape's per-item
+    /// `[1, 4d]` matmul does (rows are independent).
     ///
     /// # Panics
     /// If `rels.len() != batch.num_graphs()`.
@@ -214,29 +180,16 @@ impl Gsm {
             return;
         }
         self.encoder.encode_inference_batched(params, batch, &mut ws.enc);
-        let rel_tpo = params.get(self.rel_tpo);
-        let w = params.get(self.w_out).data();
-        let d = self.dim;
-        ws.cat.resize(b * 4 * d, 0.0);
-        for (i, rel) in rels.iter().enumerate() {
-            let row = &mut ws.cat[i * 4 * d..(i + 1) * 4 * d];
-            row[..d].copy_from_slice(&ws.enc.graph[i * d..(i + 1) * d]);
-            row[d..2 * d].copy_from_slice(&ws.enc.heads[i * d..(i + 1) * d]);
-            row[2 * d..3 * d].copy_from_slice(&ws.enc.tails[i * d..(i + 1) * d]);
-            row[3 * d..].copy_from_slice(rel_tpo.row(rel.index()));
-        }
-        ws.scores.resize(b, 0.0);
-        kernels::matmul(&ws.cat, w, &mut ws.scores, b, 4 * d, 1);
-        out.extend_from_slice(&ws.scores);
+        self.readout(params, rels, |i| i, ws, out);
     }
 
     /// Scores one subgraph under many relations — the `(h, ?, t)`
     /// relation-prediction fast path, where every candidate shares the
     /// same enclosing subgraph. Encodes once and appends one score per
     /// relation to `out`, each bitwise identical to scoring
-    /// `(sg, rels[i])` through [`Gsm::score_subgraphs_inference`]
-    /// (which would re-encode the identical subgraph per candidate and
-    /// get the identical encoding back).
+    /// `(sg, rels[i])` through [`Gsm::score_subgraphs_batched`] (which
+    /// would re-encode the identical subgraph per candidate and get the
+    /// identical encoding back).
     pub fn score_subgraph_multi_rel(
         &self,
         params: &ParamStore,
@@ -248,19 +201,35 @@ impl Gsm {
         if rels.is_empty() {
             return;
         }
-        let graphs = std::slice::from_ref(sg);
-        let batch = BatchedSubgraphs::pack(graphs);
+        let batch = BatchedSubgraphs::pack(std::slice::from_ref(sg));
         self.encoder.encode_inference_batched(params, &batch, &mut ws.enc);
+        self.readout(params, rels, |_| 0, ws, out);
+    }
+
+    /// The Eq. 11 readout over encoded segments: row `i` of the
+    /// `[b, 4d]` matrix is `h_G ⊕ h_i ⊕ h_j` of segment `segment(i)`
+    /// followed by `r^tpo` of `rels[i]`; one matmul against `W` scores
+    /// every row, and the scores are appended to `out`.
+    fn readout(
+        &self,
+        params: &ParamStore,
+        rels: &[dekg_kg::RelationId],
+        segment: impl Fn(usize) -> usize,
+        ws: &mut InferenceWorkspace,
+        out: &mut Vec<f32>,
+    ) {
         let rel_tpo = params.get(self.rel_tpo);
         let w = params.get(self.w_out).data();
         let d = self.dim;
         let b = rels.len();
         ws.cat.resize(b * 4 * d, 0.0);
         for (i, rel) in rels.iter().enumerate() {
+            let seg = segment(i);
+            let s = seg * d..(seg + 1) * d;
             let row = &mut ws.cat[i * 4 * d..(i + 1) * 4 * d];
-            row[..d].copy_from_slice(&ws.enc.graph[..d]);
-            row[d..2 * d].copy_from_slice(&ws.enc.heads[..d]);
-            row[2 * d..3 * d].copy_from_slice(&ws.enc.tails[..d]);
+            row[..d].copy_from_slice(&ws.enc.graph[s.clone()]);
+            row[d..2 * d].copy_from_slice(&ws.enc.heads[s.clone()]);
+            row[2 * d..3 * d].copy_from_slice(&ws.enc.tails[s]);
             row[3 * d..].copy_from_slice(rel_tpo.row(rel.index()));
         }
         ws.scores.resize(b, 0.0);
@@ -393,9 +362,9 @@ mod tests {
 
     #[test]
     fn inference_scores_bitwise_match_tape_scores() {
-        // The eval protocol ranks with the forward-only path; if it
-        // drifted from the tape by even one ULP, rankings could differ
-        // between training-time probes and evaluation.
+        // The eval protocol ranks with the packed forward-only engine;
+        // if it drifted from the tape by even one ULP, rankings could
+        // differ between training-time probes and evaluation.
         for num_bases in [None, Some(2)] {
             let mut rng = ChaCha8Rng::seed_from_u64(11);
             let mut ps = ParamStore::new();
@@ -407,11 +376,27 @@ mod tests {
                 .iter()
                 .map(|&(h, t)| extractor.extract(EntityId(h), EntityId(t), None))
                 .collect();
+            let rels: Vec<RelationId> =
+                (0..sgs.len()).map(|i| RelationId((i % 3) as u32)).collect();
             let items: Vec<(&Subgraph, RelationId)> =
-                sgs.iter().enumerate().map(|(i, sg)| (sg, RelationId((i % 3) as u32))).collect();
+                sgs.iter().zip(rels.iter().copied()).collect();
             let tape = gsm.score_subgraphs_eval(&ps, &items);
-            let fast = gsm.score_subgraphs_inference(&ps, &items);
-            assert_eq!(tape, fast, "num_bases {num_bases:?}");
+            let mut ws = InferenceWorkspace::new();
+            let mut packed = Vec::new();
+            gsm.score_subgraphs_batched(
+                &ps,
+                &BatchedSubgraphs::pack(&sgs),
+                &rels,
+                &mut ws,
+                &mut packed,
+            );
+            assert_eq!(tape, packed, "num_bases {num_bases:?}");
+            // The one-subgraph, many-relations path shares the readout.
+            let mut multi = Vec::new();
+            gsm.score_subgraph_multi_rel(&ps, &sgs[0], &rels, &mut ws, &mut multi);
+            let same_sg: Vec<(&Subgraph, RelationId)> =
+                rels.iter().map(|&r| (&sgs[0], r)).collect();
+            assert_eq!(gsm.score_subgraphs_eval(&ps, &same_sg), multi, "num_bases {num_bases:?}");
         }
     }
 

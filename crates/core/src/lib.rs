@@ -49,12 +49,12 @@ pub mod traits;
 /// Convenient glob-import surface.
 pub mod prelude {
     pub use crate::config::{Ablation, DekgIlpConfig};
-    pub use crate::model::{DekgIlp, ScoringPath};
+    pub use crate::model::{DekgIlp, TapeReference};
     pub use crate::traits::{InferenceGraph, LinkPredictor, TrainReport, TrainableModel};
 }
 
 pub use config::{Ablation, DekgIlpConfig};
-pub use model::{DekgIlp, ScoringPath};
+pub use model::{DekgIlp, TapeReference};
 pub use profile::{profile_eval, profile_train, profile_train_outputs, ProfileReport};
 pub use train::{
     batch_loss, batch_loss_parts, grad_check_dataset, prepare_batch, record_prepared,

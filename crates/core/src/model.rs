@@ -1,5 +1,6 @@
-//! The combined DEKG-ILP model (Eq. 13) and its [`LinkPredictor`] /
-//! [`TrainableModel`] implementations.
+//! The combined DEKG-ILP model (Eq. 13), its [`LinkPredictor`] /
+//! [`TrainableModel`] implementations, and [`TapeReference`], the
+//! tape-scored oracle its evaluation engine is pinned to.
 
 use crate::clrm::Clrm;
 use crate::config::DekgIlpConfig;
@@ -7,51 +8,14 @@ use crate::gsm::{Gsm, InferenceWorkspace};
 use crate::traits::{InferenceGraph, LinkPredictor, TrainReport, TrainableModel};
 use dekg_datasets::DekgDataset;
 use dekg_gnn::SubgraphEncoderConfig;
-use dekg_kg::{BatchedSubgraphs, DistanceBackend, EntityId, Subgraph, SubgraphExtractor, Triple};
+use dekg_kg::{BatchedSubgraphs, DistanceBackend, Subgraph, SubgraphExtractor, Triple};
 use dekg_tensor::{Graph, ParamStore};
 use rand::{RngCore, SeedableRng};
 use std::cell::RefCell;
 use std::sync::OnceLock;
 
-/// Which GSM implementation evaluation scoring runs through.
-///
-/// All paths produce bitwise-identical scores (a tested invariant);
-/// training always uses the tape, since it needs gradients.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScoringPath {
-    /// The batched candidate-ranking engine — the default. Detects the
-    /// ranking-query structure of a batch (shared head, tail, or
-    /// endpoint pair), reuses the fixed endpoint's BFS across
-    /// candidates, packs candidate subgraphs block-diagonally and runs
-    /// the forward-only kernels over the pack (see
-    /// [`Gsm::score_subgraphs_batched`]). Falls back to per-candidate
-    /// [`ScoringPath::Inference`] scoring for batches with no shared
-    /// structure.
-    #[default]
-    Batched,
-    /// Forward-only kernels, one candidate at a time — no autograd
-    /// tape, no packing.
-    Inference,
-    /// Score through the autograd tape
-    /// ([`Gsm::score_subgraphs_eval`]) — the seed pipeline, kept as the
-    /// baseline the perf harness measures against.
-    TapeReference,
-}
-
-impl ScoringPath {
-    /// Parses a CLI-friendly name (`batched`, `per-candidate`, `tape`).
-    pub fn parse(s: &str) -> Option<ScoringPath> {
-        match s {
-            "batched" => Some(ScoringPath::Batched),
-            "per-candidate" | "inference" => Some(ScoringPath::Inference),
-            "tape" => Some(ScoringPath::TapeReference),
-            _ => None,
-        }
-    }
-}
-
-/// The structure [`ScoringPath::Batched`] detects in a score batch.
-/// Ranking queries produced by the eval protocol always share the
+/// The structure the batched engine detects in a score batch. Ranking
+/// queries produced by the eval protocol always share the
 /// non-predicted slots: `[truth, candidates…]` of a tail query share
 /// the head, of a head query the tail, of a relation query both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,7 +26,7 @@ enum QueryShape {
     FixedHead,
     /// All triples share the tail; candidates vary the head.
     FixedTail,
-    /// No shared endpoint (training probes, ad-hoc batches).
+    /// No shared endpoint (training probes, a serve `/score` body).
     Mixed,
 }
 
@@ -128,13 +92,9 @@ pub struct DekgIlp {
     /// both backends produce bit-identical subgraphs, so it is kept out
     /// of the serialized config (checkpoint `.json` stays stable).
     distance_backend: DistanceBackend,
-    /// GSM scoring implementation — runtime state like the extraction
-    /// backend, and kept out of the config for the same reason.
-    scoring_path: ScoringPath,
-    /// Candidates packed per block-diagonal batch on the
-    /// [`ScoringPath::Batched`] path. Scores are bitwise-invariant to
-    /// this knob (a tested invariant); it only trades peak memory
-    /// against packing amortization.
+    /// Candidates packed per block-diagonal batch. Scores are
+    /// bitwise-invariant to this knob (a tested invariant); it only
+    /// trades peak memory against packing amortization.
     eval_batch: usize,
 }
 
@@ -173,7 +133,6 @@ impl DekgIlp {
             gsm,
             num_relations,
             distance_backend: DistanceBackend::default(),
-            scoring_path: ScoringPath::default(),
             eval_batch: 64,
         }
     }
@@ -190,20 +149,7 @@ impl DekgIlp {
         self.distance_backend = backend;
     }
 
-    /// The GSM implementation evaluation scoring runs through.
-    pub fn scoring_path(&self) -> ScoringPath {
-        self.scoring_path
-    }
-
-    /// Switches the GSM scoring implementation.
-    /// [`ScoringPath::TapeReference`] is the seed pipeline, kept so the
-    /// perf harness can measure the forward-only path against an
-    /// identical-output baseline.
-    pub fn set_scoring_path(&mut self, path: ScoringPath) {
-        self.scoring_path = path;
-    }
-
-    /// Candidates packed per batch on the [`ScoringPath::Batched`] path.
+    /// Candidates packed per block-diagonal batch.
     pub fn eval_batch(&self) -> usize {
         self.eval_batch
     }
@@ -213,7 +159,7 @@ impl DekgIlp {
     /// packing and thread-dispatch layers peeled off. This is the entry
     /// point the allocation sanitizer drives (`perf --alloc-check`):
     /// once `ws` and `out` are warm, repeated calls must not touch the
-    /// heap. Scores match [`ScoringPath::Batched`] bitwise.
+    /// heap. Scores match [`LinkPredictor::score_batch`] bitwise.
     pub fn score_packed(
         &self,
         batch: &BatchedSubgraphs<'_>,
@@ -224,7 +170,7 @@ impl DekgIlp {
         self.gsm.score_subgraphs_batched(&self.params, batch, rels, ws, out);
     }
 
-    /// Sets the batched-path packing size. Clamped to at least 1.
+    /// Sets the packing size. Clamped to at least 1.
     /// Scores do not depend on this value — only peak memory and
     /// parallel grain do.
     pub fn set_eval_batch(&mut self, batch: usize) {
@@ -345,7 +291,26 @@ impl DekgIlp {
         Ok(model)
     }
 
-    /// Scores triples with both modules on a fresh tape (no dropout).
+    /// φ_sem for every triple: one CLRM tape over the whole batch
+    /// (zeros under the `-R` ablation).
+    fn sem_scores(&self, graph: &InferenceGraph, triples: &[Triple]) -> Vec<f32> {
+        let mut sem = vec![0.0f32; triples.len()];
+        if let Some(clrm) = &self.clrm {
+            let mut g = Graph::new();
+            let s = clrm.score(&mut g, &self.params, &graph.tables, triples);
+            sem.copy_from_slice(g.value(s).data());
+        }
+        sem
+    }
+
+    /// The subgraph extractor scoring runs on: the model's hop bound,
+    /// extraction mode and distance backend over `graph`.
+    fn extractor<'g>(&self, graph: &'g InferenceGraph) -> SubgraphExtractor<'g> {
+        SubgraphExtractor::new(&graph.adjacency, self.cfg.hops, self.cfg.extraction_mode())
+            .with_backend(self.distance_backend)
+    }
+
+    /// Scores triples with both modules (no dropout): φ_sem + φ_tpo.
     ///
     /// Exposed for the training loop and explain tooling; external users
     /// go through [`LinkPredictor::score_batch`].
@@ -354,88 +319,26 @@ impl DekgIlp {
             return Vec::new();
         }
         let _span = dekg_obs::span!("score_batch");
-        // φ_sem: one tape over the whole batch.
-        let mut sem = vec![0.0f32; triples.len()];
-        if let Some(clrm) = &self.clrm {
-            let mut g = Graph::new();
-            let s = clrm.score(&mut g, &self.params, &graph.tables, triples);
-            sem.copy_from_slice(g.value(s).data());
-        }
-
-        // φ_tpo: path-dependent. The batched engine exploits the
-        // ranking-query structure of the batch; the per-candidate
-        // paths score each triple's subgraph independently.
-        let extractor =
-            SubgraphExtractor::new(&graph.adjacency, self.cfg.hops, self.cfg.extraction_mode())
-                .with_backend(self.distance_backend);
-        let tpo = match self.scoring_path {
-            ScoringPath::Batched => self.tpo_batched(&extractor, triples),
-            ScoringPath::Inference | ScoringPath::TapeReference => {
-                self.tpo_per_candidate(&extractor, triples, self.scoring_path)
-            }
-        };
+        let sem = self.sem_scores(graph, triples);
+        let tpo = self.tpo(&self.extractor(graph), triples);
         sem.iter().zip(&tpo).map(|(s, t)| s + t).collect()
-    }
-
-    /// φ_tpo via per-candidate extraction and scoring — the
-    /// [`ScoringPath::Inference`] / [`ScoringPath::TapeReference`]
-    /// engines, and the fallback for structure-free batches.
-    ///
-    /// Chunks bound tape memory on large candidate sets. Chunks are
-    /// independent — each gets its own tape and mount — so they fan out
-    /// over the ambient rayon thread count; scoring is a pure function
-    /// of (params, subgraph), and the ordered collect makes the result
-    /// identical to the serial loop.
-    fn tpo_per_candidate(
-        &self,
-        extractor: &SubgraphExtractor<'_>,
-        triples: &[Triple],
-        path: ScoringPath,
-    ) -> Vec<f32> {
-        const CHUNK: usize = 64;
-        use rayon::prelude::*;
-        let chunks: Vec<&[Triple]> = triples.chunks(CHUNK).collect();
-        let tpo_chunks: Vec<Vec<f32>> = chunks
-            .par_iter()
-            .map(|chunk| {
-                let subgraphs: Vec<(Subgraph, dekg_kg::RelationId)> = chunk
-                    .iter()
-                    .map(|t| (extractor.extract(t.head, t.tail, None), t.rel))
-                    .collect();
-                let items: Vec<(&Subgraph, dekg_kg::RelationId)> =
-                    subgraphs.iter().map(|(sg, r)| (sg, *r)).collect();
-                match path {
-                    ScoringPath::Inference => {
-                        self.gsm.score_subgraphs_inference(&self.params, &items)
-                    }
-                    ScoringPath::TapeReference | ScoringPath::Batched => {
-                        self.gsm.score_subgraphs_eval(&self.params, &items)
-                    }
-                }
-            })
-            .collect();
-        tpo_chunks.into_iter().flatten().collect()
     }
 
     /// φ_tpo via the batched candidate-ranking engine.
     ///
-    /// Detects the query shape, reuses the fixed endpoint's truncated
-    /// BFS across candidates, packs candidate subgraphs
-    /// block-diagonally (`eval_batch` per pack) and scores each pack
-    /// with one forward pass through a reusable workspace. Every
-    /// decision preserves bitwise equality with the per-candidate path:
-    /// cached BFS reuse is gated on the exact-equality condition
-    /// ([`dekg_kg::QueryExtractionCache`]), the block-diagonal kernels
-    /// preserve per-subgraph accumulation order, and packs are
-    /// independent so chunking/threading cannot reorder float sums.
-    fn tpo_batched(&self, extractor: &SubgraphExtractor<'_>, triples: &[Triple]) -> Vec<f32> {
+    /// Detects the query shape, reuses a fixed endpoint's truncated BFS
+    /// across candidates, packs candidate subgraphs block-diagonally
+    /// (`eval_batch` per pack) and scores each pack with one forward
+    /// pass through a reusable workspace. Every decision preserves
+    /// bitwise equality with scoring each triple's subgraph alone
+    /// through the tape ([`TapeReference`]): cached BFS reuse is gated
+    /// on the exact-equality condition ([`dekg_kg::QueryExtractionCache`]),
+    /// the block-diagonal kernels preserve per-subgraph accumulation
+    /// order, and packs are independent so chunking/threading cannot
+    /// reorder float sums.
+    fn tpo(&self, extractor: &SubgraphExtractor<'_>, triples: &[Triple]) -> Vec<f32> {
         use rayon::prelude::*;
         let shape = QueryShape::detect(triples);
-        if shape == QueryShape::Mixed {
-            // No shared endpoint to cache or exploit: fall back to the
-            // per-candidate forward-only engine.
-            return self.tpo_per_candidate(extractor, triples, ScoringPath::Inference);
-        }
         if shape == QueryShape::FixedPair {
             // Relation query (h, ?, t): one extraction and one encode
             // serve every candidate relation.
@@ -450,13 +353,15 @@ impl DekgIlp {
             });
         }
         // Entity query: one endpoint is fixed across the batch — BFS it
-        // once, then fan packs out over the ambient rayon pool.
-        let fixed: EntityId = match shape {
-            QueryShape::FixedHead => triples[0].head,
-            QueryShape::FixedTail => triples[0].tail,
-            _ => unreachable!(),
+        // once. A mixed batch has nothing to cache and extracts each
+        // triple on its own. Either way, packs fan out over the ambient
+        // rayon pool.
+        let cache = match shape {
+            QueryShape::FixedHead => Some(extractor.cache_source(triples[0].head)),
+            QueryShape::FixedTail => Some(extractor.cache_source(triples[0].tail)),
+            QueryShape::Mixed => None,
+            QueryShape::FixedPair => unreachable!(),
         };
-        let cache = extractor.cache_source(fixed);
         let chunks: Vec<&[Triple]> = triples.chunks(self.eval_batch.max(1)).collect();
         let packs: Vec<(Vec<f32>, usize, u64, u64)> = chunks
             .par_iter()
@@ -466,8 +371,11 @@ impl DekgIlp {
                 let subgraphs: Vec<Subgraph> = chunk
                     .iter()
                     .map(|t| {
+                        let Some(cache) = &cache else {
+                            return extractor.extract(t.head, t.tail, None);
+                        };
                         let (sg, hit) =
-                            extractor.extract_with_cached_source(&cache, t.head, t.tail, None);
+                            extractor.extract_with_cached_source(cache, t.head, t.tail, None);
                         if hit {
                             hits += 1;
                         } else {
@@ -504,6 +412,48 @@ impl DekgIlp {
     }
 }
 
+/// The scoring oracle: a [`DekgIlp`] scored through the autograd tape.
+///
+/// φ_sem is computed exactly as production computes it; φ_tpo extracts
+/// each triple's subgraph on its own (with the model's distance
+/// backend) and scores it with [`Gsm::score_subgraphs_eval`] — no shape
+/// detection, no BFS reuse, no packing. The production engine behind
+/// [`LinkPredictor::score_batch`] is pinned to it bit for bit; training
+/// records the same tape, so the pin also ties evaluation to what was
+/// trained.
+#[derive(Debug, Clone, Copy)]
+pub struct TapeReference<'a>(pub &'a DekgIlp);
+
+impl LinkPredictor for TapeReference<'_> {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn score_batch(&self, graph: &InferenceGraph, triples: &[Triple]) -> Vec<f32> {
+        // Chunks bound the tape's memory on large candidate sets; each
+        // triple's score depends only on its own subgraph.
+        const CHUNK: usize = 64;
+        if triples.is_empty() {
+            return Vec::new();
+        }
+        let model = self.0;
+        let extractor = model.extractor(graph);
+        let sem = model.sem_scores(graph, triples);
+        let tpo = triples.chunks(CHUNK).flat_map(|chunk| {
+            let subgraphs: Vec<Subgraph> =
+                chunk.iter().map(|t| extractor.extract(t.head, t.tail, None)).collect();
+            let items: Vec<(&Subgraph, dekg_kg::RelationId)> =
+                subgraphs.iter().zip(chunk).map(|(sg, t)| (sg, t.rel)).collect();
+            model.gsm.score_subgraphs_eval(&model.params, &items)
+        });
+        sem.iter().zip(tpo).map(|(s, t)| s + t).collect()
+    }
+
+    fn num_parameters(&self) -> usize {
+        self.0.num_parameters()
+    }
+}
+
 impl LinkPredictor for DekgIlp {
     fn name(&self) -> &'static str {
         self.cfg.ablation.variant_name()
@@ -529,6 +479,7 @@ mod tests {
     use super::*;
     use crate::config::Ablation;
     use dekg_datasets::{generate, DatasetProfile, RawKg, SplitKind, SynthConfig};
+    use dekg_kg::EntityId;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -561,7 +512,8 @@ mod tests {
     #[test]
     fn scoring_paths_are_bitwise_identical() {
         // Train briefly so parameters are away from init, then check
-        // the forward-only path against the tape on real test links.
+        // the production engine against the tape oracle on a mixed
+        // batch of real test links.
         let d = tiny_dataset();
         let mut rng = ChaCha8Rng::seed_from_u64(6);
         let cfg = DekgIlpConfig { epochs: 1, ..DekgIlpConfig::quick() };
@@ -570,22 +522,18 @@ mod tests {
         let graph = InferenceGraph::from_dataset(&d);
         let batch: Vec<Triple> =
             d.test_enclosing.iter().chain(&d.test_bridging).copied().take(12).collect();
-
-        assert_eq!(model.scoring_path(), ScoringPath::Batched);
-        let batched = model.score_batch(&graph, &batch);
-        model.set_scoring_path(ScoringPath::Inference);
-        let fast = model.score_batch(&graph, &batch);
-        model.set_scoring_path(ScoringPath::TapeReference);
-        let tape = model.score_batch(&graph, &batch);
-        assert_eq!(batched, fast);
-        assert_eq!(fast, tape);
+        assert_eq!(QueryShape::detect(&batch), QueryShape::Mixed);
+        assert_eq!(
+            model.score_batch(&graph, &batch),
+            TapeReference(&model).score_batch(&graph, &batch)
+        );
     }
 
     #[test]
     fn batched_path_matches_per_candidate_on_ranking_shapes() {
         // Ranking-shaped batches exercise the FixedHead / FixedTail /
         // FixedPair engines; scores must be bitwise identical to the
-        // per-candidate path for every shape and any eval_batch.
+        // per-candidate tape oracle for every shape and any eval_batch.
         let d = tiny_dataset();
         let mut rng = ChaCha8Rng::seed_from_u64(9);
         let cfg = DekgIlpConfig { epochs: 1, ..DekgIlpConfig::quick() };
@@ -603,14 +551,16 @@ mod tests {
         let rel_query: Vec<Triple> = (0..d.num_relations)
             .map(|r| Triple { head: t0.head, rel: dekg_kg::RelationId(r as u32), tail: t0.tail })
             .collect();
-        for batch in [&tail_query, &head_query, &rel_query] {
+        for (batch, shape) in [
+            (&tail_query, QueryShape::FixedHead),
+            (&head_query, QueryShape::FixedTail),
+            (&rel_query, QueryShape::FixedPair),
+        ] {
+            assert_eq!(QueryShape::detect(batch), shape);
+            let oracle = TapeReference(&model).score_batch(&graph, batch);
             for eb in [1usize, 3, 64] {
                 model.set_eval_batch(eb);
-                model.set_scoring_path(ScoringPath::Batched);
-                let batched = model.score_batch(&graph, batch);
-                model.set_scoring_path(ScoringPath::Inference);
-                let per_candidate = model.score_batch(&graph, batch);
-                assert_eq!(batched, per_candidate);
+                assert_eq!(model.score_batch(&graph, batch), oracle, "{shape:?}, eval_batch {eb}");
             }
         }
     }

@@ -399,18 +399,6 @@ mod tests {
     }
 
     #[test]
-    fn eval_profile_runs_forward_only() {
-        let _guard = prof_lock();
-        let d = dekg_datasets::tiny_fixture(2);
-        let report = profile_eval(&d, 0, 2, 5);
-        assert_eq!(report.batches, 2);
-        assert!(!report.ops.is_empty());
-        // Forward-only: no backward time anywhere.
-        assert!(report.ops.iter().all(|o| o.backward_calls == 0), "{:?}", report.ops);
-        assert!(report.attributed_seconds() > 0.0);
-    }
-
-    #[test]
     fn profiling_does_not_change_training_results() {
         let _guard = prof_lock();
         let d = dekg_datasets::tiny_fixture(3);

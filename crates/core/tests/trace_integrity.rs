@@ -104,6 +104,23 @@ fn tape_structure_rows_fold_identically_across_schedules() {
     prof::reset();
 }
 
+/// `profile_eval` records forward-only tapes. This lives here, not
+/// beside `profile_eval`, because the profiler tables are process
+/// globals: in the library's test binary, a training test running on
+/// another test thread could land backward calls in them mid-profile.
+#[test]
+fn eval_profile_runs_forward_only() {
+    let _guard = lock();
+    let d = dekg_datasets::tiny_fixture(2);
+    let report = dekg_core::profile_eval(&d, 0, 2, 5);
+    assert_eq!(report.batches, 2);
+    assert!(!report.ops.is_empty());
+    // Forward-only: no backward time anywhere.
+    assert!(report.ops.iter().all(|o| o.backward_calls == 0), "{:?}", report.ops);
+    assert!(report.attributed_seconds() > 0.0);
+    prof::reset();
+}
+
 /// One parsed `"X"` event from a Chrome trace file.
 struct Ev {
     name: String,

@@ -55,8 +55,8 @@ pub mod prelude {
         NeuralLpConfig, RotatE, RuleN, SubgraphModelConfig, Tact, TransE,
     };
     pub use dekg_core::{
-        Ablation, DekgIlp, DekgIlpConfig, InferenceGraph, LinkPredictor, ScoringPath, TrainReport,
-        TrainableModel,
+        Ablation, DekgIlp, DekgIlpConfig, InferenceGraph, LinkPredictor, TapeReference,
+        TrainReport, TrainableModel,
     };
     pub use dekg_datasets::{
         generate, DatasetProfile, DatasetStats, DekgDataset, LinkClass, MixRatio, NegativeSampler,

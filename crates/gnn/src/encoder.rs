@@ -2,7 +2,7 @@
 //! baselines.
 
 use crate::labeling::{feature_width, node_features, LabelingMode};
-use crate::rgcn::{group_edges_by_relation, BatchedLayerScratch, RgcnLayer, RgcnLayerConfig};
+use crate::rgcn::{BatchedLayerScratch, RgcnLayer, RgcnLayerConfig};
 use dekg_kg::{BatchedSubgraphs, Subgraph};
 use dekg_tensor::{kernels, Graph, ParamStore, Var};
 use rand::Rng;
@@ -55,21 +55,6 @@ pub struct EncodedSubgraph {
     pub head: Var,
     /// Tail embedding `h_j^L` as `[1, dim]`.
     pub tail: Var,
-}
-
-/// The forward-only counterpart of [`EncodedSubgraph`]: plain buffers
-/// instead of tape handles, produced by
-/// [`SubgraphEncoder::encode_inference`].
-#[derive(Debug, Clone)]
-pub struct InferenceEncoding {
-    /// All node embeddings `h^L`, row-major `[n, dim]`.
-    pub nodes: Vec<f32>,
-    /// Average-pooled graph embedding `h_G^L` as `[dim]`.
-    pub graph: Vec<f32>,
-    /// Head embedding `h_i^L` as `[dim]`.
-    pub head: Vec<f32>,
-    /// Tail embedding `h_j^L` as `[dim]`.
-    pub tail: Vec<f32>,
 }
 
 /// A stack of [`RgcnLayer`]s with labeling-based input features and
@@ -169,41 +154,14 @@ impl SubgraphEncoder {
         EncodedSubgraph { nodes: h, graph, head, tail }
     }
 
-    /// Forward-only encoding: no tape, no dropout. Bitwise identical to
-    /// [`SubgraphEncoder::encode_mounted`] with `train = false` — same
-    /// kernels, same op order (see [`RgcnLayer::forward_inference`]).
-    /// This is the evaluation fast path: it skips the autograd tape's
-    /// node bookkeeping, which dominates scoring cost at eval time.
-    pub fn encode_inference(&self, params: &ParamStore, sg: &Subgraph) -> InferenceEncoding {
-        let by_rel = group_edges_by_relation(sg, None);
-        let mut h = node_features(sg, self.cfg.hops, self.cfg.labeling).into_vec();
-        for layer in &self.layers {
-            h = layer.forward_inference(params, sg, &h, &by_rel);
-        }
-
-        let n = sg.num_nodes();
-        let dim = self.cfg.dim;
-        // Average-pool readout, replicating the tape's mean_axis0:
-        // accumulate rows in order, then scale by 1/n.
-        let mut graph = vec![0.0f32; dim];
-        for row in h.chunks_exact(dim) {
-            kernels::add_assign(&mut graph, row);
-        }
-        let inv = if n == 0 { 0.0 } else { 1.0 / n as f32 };
-        for x in &mut graph {
-            *x *= inv;
-        }
-        let head = h[..dim].to_vec();
-        let tail = h[dim..2 * dim].to_vec();
-        InferenceEncoding { nodes: h, graph, head, tail }
-    }
-
-    /// Batched forward-only encoding over a block-diagonal pack of
-    /// subgraphs, bitwise identical to calling
-    /// [`SubgraphEncoder::encode_inference`] per subgraph (see
-    /// [`RgcnLayer::forward_inference_batched`] for the layer-level
-    /// argument; the readout below accumulates each segment's rows in
-    /// the same order and scales by the same `1/n`).
+    /// Forward-only encoding over a block-diagonal pack of subgraphs:
+    /// no tape, no dropout. Bitwise identical, segment by segment, to
+    /// [`SubgraphEncoder::encode`] with `train = false` on each subgraph
+    /// alone (see [`RgcnLayer::forward_inference_batched`] for the
+    /// layer-level argument; the readout below accumulates each
+    /// segment's rows in order and scales by `1/n`, as the tape's
+    /// `mean_axis0` does). This is the evaluation path: it skips the
+    /// autograd tape's node bookkeeping, which dominates scoring cost.
     ///
     /// Results land in `ws` (`graph`/`heads`/`tails`, one row per
     /// segment); all buffers are reused across calls.
@@ -259,7 +217,7 @@ impl SubgraphEncoder {
         let h = &ws.h_a;
 
         // Segment readout: mean-pool each segment's rows (accumulated
-        // in row order, then scaled — as in `encode_inference`) plus
+        // in row order, then scaled — as the tape's `mean_axis0`) plus
         // the head/tail rows at each segment's start.
         let dim = self.cfg.dim;
         let b = batch.num_graphs();
@@ -414,59 +372,6 @@ mod tests {
         assert!(diags.is_empty(), "encoder tape should be clean: {diags:?}");
     }
 
-    #[test]
-    fn inference_path_is_bitwise_identical_to_tape() {
-        // The forward-only path must reproduce the tape path bit for
-        // bit — evaluation switches between them expecting identical
-        // rankings. Exercised with and without basis decomposition and
-        // under both labeling modes.
-        for (num_bases, labeling) in [
-            (None, LabelingMode::Improved),
-            (None, LabelingMode::Grail),
-            (Some(3), LabelingMode::Improved),
-            (Some(3), LabelingMode::Grail),
-        ] {
-            let mut rng = ChaCha8Rng::seed_from_u64(7);
-            let mut ps = ParamStore::new();
-            let enc = SubgraphEncoder::new(
-                SubgraphEncoderConfig { num_bases, labeling, ..tiny_cfg() },
-                "gsm",
-                &mut ps,
-                &mut rng,
-            );
-            let sg = chain_subgraph();
-
-            let mut g = Graph::new();
-            let tape = enc.encode(&mut g, &ps, &sg, false, &mut rng);
-            let fast = enc.encode_inference(&ps, &sg);
-
-            assert_eq!(g.value(tape.nodes).data(), &fast.nodes[..], "{num_bases:?} {labeling:?}");
-            assert_eq!(g.value(tape.graph).data(), &fast.graph[..], "{num_bases:?} {labeling:?}");
-            assert_eq!(g.value(tape.head).data(), &fast.head[..], "{num_bases:?} {labeling:?}");
-            assert_eq!(g.value(tape.tail).data(), &fast.tail[..], "{num_bases:?} {labeling:?}");
-        }
-    }
-
-    #[test]
-    fn inference_path_handles_edgeless_subgraphs() {
-        let store = TripleStore::from_triples([Triple::from_raw(3, 0, 4)]);
-        let adj = Adjacency::from_store(&store, 5);
-        let sg = SubgraphExtractor::new(&adj, 2, ExtractionMode::Union).extract(
-            EntityId(0),
-            EntityId(1),
-            None,
-        );
-        assert_eq!(sg.num_edges(), 0);
-        let mut rng = ChaCha8Rng::seed_from_u64(8);
-        let mut ps = ParamStore::new();
-        let enc = SubgraphEncoder::new(tiny_cfg(), "gsm", &mut ps, &mut rng);
-        let mut g = Graph::new();
-        let tape = enc.encode(&mut g, &ps, &sg, false, &mut rng);
-        let fast = enc.encode_inference(&ps, &sg);
-        assert_eq!(g.value(tape.nodes).data(), &fast.nodes[..]);
-        assert_eq!(g.value(tape.graph).data(), &fast.graph[..]);
-    }
-
     /// A mixed bag of subgraphs: connected, disconnected/bridging,
     /// edgeless, self-link-degenerate, and multi-relation.
     fn mixed_subgraphs() -> Vec<Subgraph> {
@@ -490,10 +395,71 @@ mod tests {
     }
 
     #[test]
+    fn inference_path_is_bitwise_identical_to_tape() {
+        // The packed forward-only engine must reproduce the tape bit for
+        // bit on every segment — evaluation ranks with one and trains
+        // with the other. Exercised with and without basis
+        // decomposition, under both labeling modes, over connected,
+        // disconnected and edgeless subgraphs.
+        for (num_bases, labeling) in [
+            (None, LabelingMode::Improved),
+            (None, LabelingMode::Grail),
+            (Some(3), LabelingMode::Improved),
+            (Some(3), LabelingMode::Grail),
+        ] {
+            let mut rng = ChaCha8Rng::seed_from_u64(7);
+            let mut ps = ParamStore::new();
+            let enc = SubgraphEncoder::new(
+                SubgraphEncoderConfig { num_bases, labeling, ..tiny_cfg() },
+                "gsm",
+                &mut ps,
+                &mut rng,
+            );
+            let sgs = mixed_subgraphs();
+            let batch = dekg_kg::BatchedSubgraphs::pack(&sgs);
+            let mut ws = BatchedEncodeWorkspace::new();
+            enc.encode_inference_batched(&ps, &batch, &mut ws);
+            let dim = enc.config().dim;
+            for (i, sg) in sgs.iter().enumerate() {
+                let mut g = Graph::new();
+                let tape = enc.encode(&mut g, &ps, sg, false, &mut rng);
+                let rows = i * dim..(i + 1) * dim;
+                let case = format!("segment {i}, {num_bases:?} {labeling:?}");
+                assert_eq!(g.value(tape.graph).data(), &ws.graph[rows.clone()], "graph {case}");
+                assert_eq!(g.value(tape.head).data(), &ws.heads[rows.clone()], "head {case}");
+                assert_eq!(g.value(tape.tail).data(), &ws.tails[rows], "tail {case}");
+            }
+        }
+    }
+
+    #[test]
+    fn inference_path_handles_edgeless_subgraphs() {
+        let store = TripleStore::from_triples([Triple::from_raw(3, 0, 4)]);
+        let adj = Adjacency::from_store(&store, 5);
+        let sg = SubgraphExtractor::new(&adj, 2, ExtractionMode::Union).extract(
+            EntityId(0),
+            EntityId(1),
+            None,
+        );
+        assert_eq!(sg.num_edges(), 0);
+        let mut rng = ChaCha8Rng::seed_from_u64(8);
+        let mut ps = ParamStore::new();
+        let enc = SubgraphEncoder::new(tiny_cfg(), "gsm", &mut ps, &mut rng);
+        let mut g = Graph::new();
+        let tape = enc.encode(&mut g, &ps, &sg, false, &mut rng);
+        let batch = dekg_kg::BatchedSubgraphs::pack(std::slice::from_ref(&sg));
+        let mut ws = BatchedEncodeWorkspace::new();
+        enc.encode_inference_batched(&ps, &batch, &mut ws);
+        assert_eq!(g.value(tape.graph).data(), &ws.graph[..]);
+        assert_eq!(g.value(tape.head).data(), &ws.heads[..]);
+        assert_eq!(g.value(tape.tail).data(), &ws.tails[..]);
+    }
+
+    #[test]
     fn batched_encoding_is_bitwise_identical_per_subgraph() {
-        // The batched engine must reproduce `encode_inference` bit for
-        // bit on every segment — with and without basis decomposition
-        // (which itself is pinned to the tape path elsewhere).
+        // Block-diagonal packing must not change any segment's bits:
+        // a pack of every mixed subgraph reproduces each subgraph packed
+        // alone — with and without basis decomposition.
         for num_bases in [None, Some(2)] {
             let mut rng = ChaCha8Rng::seed_from_u64(21);
             let mut ps = ParamStore::new();
@@ -508,15 +474,15 @@ mod tests {
             let mut ws = BatchedEncodeWorkspace::new();
             enc.encode_inference_batched(&ps, &batch, &mut ws);
             let dim = enc.config().dim;
+            let mut single = BatchedEncodeWorkspace::new();
             for (i, sg) in sgs.iter().enumerate() {
-                let single = enc.encode_inference(&ps, sg);
-                assert_eq!(
-                    &ws.graph[i * dim..(i + 1) * dim],
-                    &single.graph[..],
-                    "graph row {i}, num_bases {num_bases:?}"
-                );
-                assert_eq!(&ws.heads[i * dim..(i + 1) * dim], &single.head[..], "head row {i}");
-                assert_eq!(&ws.tails[i * dim..(i + 1) * dim], &single.tail[..], "tail row {i}");
+                let alone = dekg_kg::BatchedSubgraphs::pack(std::slice::from_ref(sg));
+                enc.encode_inference_batched(&ps, &alone, &mut single);
+                let rows = i * dim..(i + 1) * dim;
+                let case = format!("segment {i}, num_bases {num_bases:?}");
+                assert_eq!(&ws.graph[rows.clone()], &single.graph[..], "graph {case}");
+                assert_eq!(&ws.heads[rows.clone()], &single.heads[..], "head {case}");
+                assert_eq!(&ws.tails[rows], &single.tails[..], "tail {case}");
             }
         }
     }

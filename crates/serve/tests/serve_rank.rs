@@ -37,8 +37,8 @@ fn tail_rank_body(fx: &Fixture, link: usize, candidates: usize, seed: u64, index
 }
 
 /// The rank the evaluation protocol computes for the same query, via
-/// the same library entry points `dekg evaluate --scoring batched`
-/// uses (restore → batched scoring → `filtered_rank`).
+/// the same library entry points `dekg evaluate` uses (restore →
+/// batched scoring → `filtered_rank`).
 fn library_rank(
     fx: &Fixture,
     ckpt: &str,

@@ -1,13 +1,13 @@
-//! The batched candidate-ranking engine == the per-candidate paths,
-//! bitwise.
+//! The batched candidate-ranking engine == the tape oracle, bitwise.
 //!
-//! [`ScoringPath::Batched`] packs candidate subgraphs block-diagonally,
+//! [`DekgIlp`]'s scoring packs candidate subgraphs block-diagonally,
 //! reuses the fixed endpoint's BFS across candidates and scores through
 //! reusable workspaces — all of which promise *bitwise* equality with
-//! the per-candidate forward path and the autograd tape. These tests
-//! pin that contract end-to-end: same ranks, same metrics, same
-//! observability counters, for every `num_bases` variant and for the
-//! disconnected (bridging-link) subgraphs the paper is about.
+//! [`TapeReference`], which scores each triple's subgraph alone through
+//! the autograd tape. These tests pin that contract end-to-end: same
+//! ranks, same metrics, same observability counters, for every
+//! `num_bases` variant and for the disconnected (bridging-link)
+//! subgraphs the paper is about.
 
 use dekg::prelude::*;
 use dekg_datasets::tiny_fixture;
@@ -25,9 +25,6 @@ fn obs_lock() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-const PATHS: [ScoringPath; 3] =
-    [ScoringPath::Batched, ScoringPath::Inference, ScoringPath::TapeReference];
-
 fn trained_model(data: &DekgDataset, num_bases: Option<usize>, seed: u64) -> DekgIlp {
     let cfg = DekgIlpConfig { epochs: 1, num_bases, ..DekgIlpConfig::quick() };
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -36,9 +33,9 @@ fn trained_model(data: &DekgDataset, num_bases: Option<usize>, seed: u64) -> Dek
     model
 }
 
-/// Every scoring path must produce identical ranks for every prediction
-/// form, on enclosing links and on bridging links (whose subgraphs are
-/// disconnected), under both relation-weight layouts.
+/// The engine and the oracle must produce identical ranks for every
+/// prediction form, on enclosing links and on bridging links (whose
+/// subgraphs are disconnected), under both relation-weight layouts.
 #[test]
 fn ranks_are_bitwise_identical_across_scoring_paths() {
     let _obs = obs_lock();
@@ -46,36 +43,29 @@ fn ranks_are_bitwise_identical_across_scoring_paths() {
     let graph = InferenceGraph::from_dataset(&data);
     let filter = graph.store.clone();
     for num_bases in [None, Some(2)] {
-        let mut model = trained_model(&data, num_bases, 13);
+        let model = trained_model(&data, num_bases, 13);
         // One enclosing link (connected subgraph) and one bridging link
         // (disconnected subgraph), all three prediction forms.
         let links = [data.test_enclosing[0], data.test_bridging[0]];
         for link in links {
             let queries = [RankQuery::Head(link), RankQuery::Relation(link), RankQuery::Tail(link)];
             for query in queries {
-                let ranks: Vec<f64> = PATHS
-                    .iter()
-                    .map(|&path| {
-                        model.set_scoring_path(path);
-                        let mut rng = ChaCha8Rng::seed_from_u64(5);
-                        filtered_rank(&model, &graph, &query, &filter, Some(15), &mut rng)
-                    })
-                    .collect();
+                let rank = |predictor: &dyn LinkPredictor| {
+                    let mut rng = ChaCha8Rng::seed_from_u64(5);
+                    filtered_rank(predictor, &graph, &query, &filter, Some(15), &mut rng)
+                };
                 assert_eq!(
-                    ranks[0], ranks[1],
-                    "batched vs per-candidate diverged: {num_bases:?} {query:?}"
-                );
-                assert_eq!(
-                    ranks[1], ranks[2],
-                    "per-candidate vs tape diverged: {num_bases:?} {query:?}"
+                    rank(&model),
+                    rank(&TapeReference(&model)),
+                    "engine vs tape diverged: {num_bases:?} {query:?}"
                 );
             }
         }
     }
 }
 
-/// Whole-protocol metrics must agree across the three paths — every
-/// query, every class breakdown, every prediction form.
+/// Whole-protocol metrics must agree between the engine and the oracle
+/// — every query, every class breakdown, every prediction form.
 #[test]
 fn protocol_metrics_are_identical_across_scoring_paths() {
     let _obs = obs_lock();
@@ -85,26 +75,19 @@ fn protocol_metrics_are_identical_across_scoring_paths() {
     let mut protocol = ProtocolConfig::sampled(12);
     protocol.seed = 17;
     for num_bases in [None, Some(2)] {
-        let mut model = trained_model(&data, num_bases, 21);
-        let results: Vec<EvalResult> = PATHS
-            .iter()
-            .map(|&path| {
-                model.set_scoring_path(path);
-                evaluate(&model, &graph, &data, &mix, &protocol)
-            })
-            .collect();
-        for r in &results[1..] {
-            assert_eq!(results[0].overall, r.overall, "num_bases {num_bases:?}");
-            assert_eq!(results[0].enclosing, r.enclosing, "num_bases {num_bases:?}");
-            assert_eq!(results[0].bridging, r.bridging, "num_bases {num_bases:?}");
-            assert_eq!(results[0].by_task, r.by_task, "num_bases {num_bases:?}");
-        }
+        let model = trained_model(&data, num_bases, 21);
+        let engine = evaluate(&model, &graph, &data, &mix, &protocol);
+        let oracle = evaluate(&TapeReference(&model), &graph, &data, &mix, &protocol);
+        assert_eq!(engine.overall, oracle.overall, "num_bases {num_bases:?}");
+        assert_eq!(engine.enclosing, oracle.enclosing, "num_bases {num_bases:?}");
+        assert_eq!(engine.bridging, oracle.bridging, "num_bases {num_bases:?}");
+        assert_eq!(engine.by_task, oracle.by_task, "num_bases {num_bases:?}");
     }
 }
 
-/// Structure-free (mixed) batches take the per-candidate fallback —
-/// scores must still be bitwise identical, including empty and
-/// singleton batches.
+/// Structure-free (mixed) batches run through the same packed engine
+/// as ranking queries — scores must still match the oracle bitwise,
+/// including empty and singleton batches, at any packing size.
 #[test]
 fn mixed_and_degenerate_batches_match() {
     let _obs = obs_lock();
@@ -119,12 +102,49 @@ fn mixed_and_degenerate_batches_match() {
     let empty: Vec<Triple> = Vec::new();
 
     for batch in [&mixed, &singleton, &empty] {
-        model.set_scoring_path(ScoringPath::Batched);
-        let batched = model.score_batch(&graph, batch);
-        model.set_scoring_path(ScoringPath::Inference);
-        let per_candidate = model.score_batch(&graph, batch);
-        assert_eq!(batched, per_candidate);
-        assert_eq!(batched.len(), batch.len());
+        let oracle = TapeReference(&model).score_batch(&graph, batch);
+        assert_eq!(oracle.len(), batch.len());
+        for eval_batch in [1, 4, 64] {
+            model.set_eval_batch(eval_batch);
+            assert_eq!(model.score_batch(&graph, batch), oracle, "eval_batch {eval_batch}");
+        }
+    }
+}
+
+/// A mixed batch has no fixed endpoint to BFS once: it observes its
+/// packed node total once, like a ranking query, and leaves the BFS
+/// cache counters alone.
+#[test]
+fn mixed_batch_observes_pack_and_skips_bfs_cache() {
+    let _obs = obs_lock();
+    let data = tiny_fixture(36);
+    let graph = InferenceGraph::from_dataset(&data);
+    let mut model = trained_model(&data, None, 5);
+    model.set_eval_batch(2);
+    let mixed: Vec<Triple> =
+        data.test_enclosing.iter().chain(&data.test_bridging).copied().take(5).collect();
+    assert!(
+        mixed.iter().any(|t| t.head != mixed[0].head)
+            && mixed.iter().any(|t| t.tail != mixed[0].tail),
+        "fixture batch must share no endpoint"
+    );
+
+    dekg_obs::reset();
+    // A tail query first, so the cache counters are live and nonzero.
+    let tail_query: Vec<Triple> =
+        mixed.iter().map(|t| Triple { head: mixed[0].head, ..*t }).collect();
+    model.score_batch(&graph, &tail_query);
+    let before = dekg_obs::metrics_snapshot();
+    let cache = ["dekg_eval_bfs_cache_hits_total", "dekg_eval_bfs_cache_misses_total"];
+    assert!(cache.iter().map(|c| before.counters[*c]).sum::<u64>() > 0);
+
+    model.score_batch(&graph, &mixed);
+    let after = dekg_obs::metrics_snapshot();
+    let nodes =
+        |snap: &dekg_obs::metrics::MetricsSnapshot| snap.histograms["dekg_eval_batch_nodes"].count;
+    assert_eq!(nodes(&after) - nodes(&before), 1, "one observation per batch");
+    for name in cache {
+        assert_eq!(before.counters[name], after.counters[name], "{name} moved");
     }
 }
 

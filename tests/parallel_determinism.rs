@@ -163,7 +163,6 @@ fn eval_is_batch_size_and_thread_invariant() {
     let mut model =
         DekgIlp::new(DekgIlpConfig { epochs: 1, ..DekgIlpConfig::quick() }, &data, &mut rng);
     model.fit(&data, &mut rng);
-    assert_eq!(model.scoring_path(), ScoringPath::Batched);
     let graph = InferenceGraph::from_dataset(&data);
     let mix = TestMix::build(&data, MixRatio::for_split(SplitKind::Eq));
 
