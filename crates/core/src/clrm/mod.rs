@@ -56,6 +56,14 @@ pub struct Clrm {
     rel_sem: ParamId,
 }
 
+/// CLRM's parameters mounted once on a tape, shared by every score and
+/// contrastive term of a training batch (see [`Clrm::mount`]).
+#[derive(Debug, Clone, Copy)]
+pub struct MountedClrm {
+    features: Var,
+    rel_sem: Var,
+}
+
 impl Clrm {
     /// Registers CLRM parameters under `prefix`.
     pub fn new(
@@ -98,29 +106,34 @@ impl Clrm {
         w
     }
 
+    /// Mounts `F` and `r^sem` on `g` once. Every fusion and score of a
+    /// batch can share the handles; gradients are exactly those of
+    /// mounting per call, because each call's single consumer hands the
+    /// shared leaf the partial it handed its own leaf, in the same
+    /// reverse order.
+    pub fn mount(&self, g: &mut Graph, params: &ParamStore) -> MountedClrm {
+        MountedClrm {
+            features: g.param(params, self.features),
+            rel_sem: g.param(params, self.rel_sem),
+        }
+    }
+
     /// Fuses a batch of component rows into semantic embeddings
     /// `[rows.len(), d]` (Eq. 3). Differentiates into `F`.
     pub fn fuse_rows(&self, g: &mut Graph, params: &ParamStore, rows: &[&ComponentRow]) -> Var {
+        let f = g.param(params, self.features);
+        self.fuse_with(g, f, rows)
+    }
+
+    /// [`Clrm::fuse_rows`] against a mounted `F`.
+    fn fuse_with(&self, g: &mut Graph, features: Var, rows: &[&ComponentRow]) -> Var {
         assert!(!rows.is_empty(), "fuse_rows on empty batch");
         let mut data = Vec::with_capacity(rows.len() * self.num_relations);
         for row in rows {
             data.extend_from_slice(&self.fusion_weights(row));
         }
         let weights = g.constant(Tensor::from_vec(vec![rows.len(), self.num_relations], data));
-        let f = g.param(params, self.features);
-        g.matmul(weights, f)
-    }
-
-    /// Fuses entities by id using a component table.
-    pub fn fuse_entities(
-        &self,
-        g: &mut Graph,
-        params: &ParamStore,
-        tables: &ComponentTable,
-        entities: &[dekg_kg::EntityId],
-    ) -> Var {
-        let rows: Vec<&ComponentRow> = entities.iter().map(|&e| tables.row(e)).collect();
-        self.fuse_rows(g, params, &rows)
+        g.matmul(weights, features)
     }
 
     /// Semantic scores `φ_sem` for a batch of triples: `[batch]` (Eq. 4).
@@ -131,14 +144,26 @@ impl Clrm {
         tables: &ComponentTable,
         triples: &[Triple],
     ) -> Var {
+        let mounted = self.mount(g, params);
+        self.score_mounted(g, &mounted, tables, triples)
+    }
+
+    /// [`Clrm::score`] against handles from [`Clrm::mount`].
+    pub fn score_mounted(
+        &self,
+        g: &mut Graph,
+        mounted: &MountedClrm,
+        tables: &ComponentTable,
+        triples: &[Triple],
+    ) -> Var {
         assert!(!triples.is_empty(), "score on empty batch");
-        let heads: Vec<_> = triples.iter().map(|t| t.head).collect();
-        let tails: Vec<_> = triples.iter().map(|t| t.tail).collect();
+        let rows = |pick: fn(&Triple) -> dekg_kg::EntityId| -> Vec<&ComponentRow> {
+            triples.iter().map(|t| tables.row(pick(t))).collect()
+        };
         let rels: Vec<usize> = triples.iter().map(|t| t.rel.index()).collect();
-        let e_i = self.fuse_entities(g, params, tables, &heads);
-        let e_j = self.fuse_entities(g, params, tables, &tails);
-        let rel_sem = g.param(params, self.rel_sem);
-        let r = g.gather_rows(rel_sem, &rels);
+        let e_i = self.fuse_with(g, mounted.features, &rows(|t| t.head));
+        let e_j = self.fuse_with(g, mounted.features, &rows(|t| t.tail));
+        let r = g.gather_rows(mounted.rel_sem, &rels);
         g.trilinear_rows(e_i, r, e_j)
     }
 
@@ -148,14 +173,14 @@ impl Clrm {
     /// `L_c = mean([dist(e_pos, e) − dist(e_neg, e) + γ]_+)`
     ///
     /// where `dist` is the Euclidean distance and pairs are aligned by
-    /// index.
+    /// index. `mounted` comes from [`Clrm::mount`].
     ///
     /// # Panics
     /// If the pair counts differ or are zero.
     pub fn contrastive_loss(
         &self,
         g: &mut Graph,
-        params: &ParamStore,
+        mounted: &MountedClrm,
         anchor: &ComponentRow,
         positives: &[ComponentRow],
         negatives: &[ComponentRow],
@@ -167,9 +192,9 @@ impl Clrm {
         let anchor_rows: Vec<&ComponentRow> = vec![anchor; n];
         let pos_rows: Vec<&ComponentRow> = positives.iter().collect();
         let neg_rows: Vec<&ComponentRow> = negatives.iter().collect();
-        let e_anchor = self.fuse_rows(g, params, &anchor_rows);
-        let e_pos = self.fuse_rows(g, params, &pos_rows);
-        let e_neg = self.fuse_rows(g, params, &neg_rows);
+        let e_anchor = self.fuse_with(g, mounted.features, &anchor_rows);
+        let e_pos = self.fuse_with(g, mounted.features, &pos_rows);
+        let e_neg = self.fuse_with(g, mounted.features, &neg_rows);
         let d_pos = g.rowwise_dist(e_pos, e_anchor);
         let d_neg = g.rowwise_dist(e_neg, e_anchor);
         let diff = g.sub(d_pos, d_neg);
@@ -289,7 +314,8 @@ mod tests {
         let pos = vec![row(&[(0, 2), (1, 3)])];
         let neg = vec![row(&[(2, 3), (3, 1)])];
         let mut g = Graph::new();
-        let loss = clrm.contrastive_loss(&mut g, &ps, &anchor, &pos, &neg, 1.0);
+        let mounted = clrm.mount(&mut g, &ps);
+        let loss = clrm.contrastive_loss(&mut g, &mounted, &anchor, &pos, &neg, 1.0);
         let v = g.value(loss).item();
         assert!(v.is_finite() && v >= 0.0);
     }
@@ -304,7 +330,8 @@ mod tests {
         let mut opt = Adam::new(0.05);
         let loss_val = |ps: &ParamStore| {
             let mut g = Graph::new();
-            let l = clrm.contrastive_loss(&mut g, ps, &anchor, &pos, &neg, 1.0);
+            let mounted = clrm.mount(&mut g, ps);
+            let l = clrm.contrastive_loss(&mut g, &mounted, &anchor, &pos, &neg, 1.0);
             (g.value(l).item(), g.backward(l))
         };
         let (before, _) = loss_val(&ps);

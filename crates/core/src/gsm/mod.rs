@@ -11,6 +11,7 @@
 //! φ_tpo = [ h_G ⊕ h_i ⊕ h_j ⊕ r_k^tpo ] · W
 //! ```
 
+use dekg_gnn::rgcn::MountedRgcnLayer;
 use dekg_gnn::{BatchedEncodeWorkspace, SubgraphEncoder, SubgraphEncoderConfig};
 use dekg_kg::{BatchedSubgraphs, Subgraph};
 use dekg_tensor::{init, kernels, Graph, ParamId, ParamStore, Var};
@@ -34,6 +35,16 @@ impl InferenceWorkspace {
     pub fn new() -> Self {
         Self::default()
     }
+}
+
+/// GSM's parameters mounted once on a tape: every subgraph of a
+/// training batch scores against the same handles (see
+/// [`Gsm::mount`]).
+#[derive(Debug, Clone)]
+pub struct MountedGsm {
+    encoder: Vec<MountedRgcnLayer>,
+    rel_tpo: Var,
+    w_out: Var,
 }
 
 /// The GSM parameters: the subgraph encoder plus the topological
@@ -76,7 +87,8 @@ impl Gsm {
         &self.encoder
     }
 
-    /// Scores one candidate link given its extracted subgraph.
+    /// Scores one candidate link given its extracted subgraph, with the
+    /// parameters mounted for this subgraph alone.
     ///
     /// Returns a scalar (`[1, 1]`) Var. `train` enables edge dropout.
     pub fn score_subgraph(
@@ -88,12 +100,37 @@ impl Gsm {
         train: bool,
         rng: &mut impl Rng,
     ) -> Var {
-        let enc = self.encoder.encode(g, params, sg, train, rng);
-        let rel_tpo = g.param(params, self.rel_tpo);
-        let r = g.gather_rows(rel_tpo, &[rel.index()]);
+        let mounted = self.mount(g, params);
+        self.score_subgraph_mounted(g, &mounted, sg, rel, train, rng)
+    }
+
+    /// Mounts every GSM parameter on `g` once. Gradients are exactly
+    /// those of mounting per subgraph: each subgraph's ops hand a
+    /// mounted leaf the same partial they handed their own leaf, in
+    /// the same reverse order (DESIGN.md, "Fused R-GCN layer op").
+    pub fn mount(&self, g: &mut Graph, params: &ParamStore) -> MountedGsm {
+        MountedGsm {
+            encoder: self.encoder.mount(g, params),
+            rel_tpo: g.param(params, self.rel_tpo),
+            w_out: g.param(params, self.w_out),
+        }
+    }
+
+    /// [`Gsm::score_subgraph`] against handles from [`Gsm::mount`]: the
+    /// fused encoding plus the Eq. 11 readout, as a `[1, 1]` Var.
+    pub fn score_subgraph_mounted(
+        &self,
+        g: &mut Graph,
+        mounted: &MountedGsm,
+        sg: &Subgraph,
+        rel: dekg_kg::RelationId,
+        train: bool,
+        rng: &mut impl Rng,
+    ) -> Var {
+        let enc = self.encoder.encode_mounted(g, &mounted.encoder, sg, train, rng);
+        let r = g.gather_rows(mounted.rel_tpo, &[rel.index()]);
         let cat = g.concat_cols(&[enc.graph, enc.head, enc.tail, r]);
-        let w = g.param(params, self.w_out);
-        g.matmul(cat, w)
+        g.matmul(cat, mounted.w_out)
     }
 
     /// Scores many subgraphs on one tape with parameters mounted once
@@ -116,9 +153,10 @@ impl Gsm {
 
     /// Records the [`Gsm::score_subgraphs_eval`] tape without reading
     /// the scores off it: parameters mounted once, no dropout, one
-    /// scalar `Var` per item. Exposed so the profiler can bracket pure
-    /// tape recording; forward values are eager, so reading them later
-    /// is free and bitwise identical.
+    /// scalar `Var` per item, every layer recorded unfused
+    /// ([`SubgraphEncoder::encode_reference`]) — the oracle. Exposed so
+    /// the profiler can bracket pure tape recording; forward values are
+    /// eager, so reading them later is free and bitwise identical.
     pub fn record_eval_tape(
         &self,
         params: &ParamStore,
@@ -139,7 +177,7 @@ impl Gsm {
         // scores, fewer nodes.
         let mut rel_rows: std::collections::HashMap<usize, Var> = std::collections::HashMap::new();
         for (sg, rel) in items {
-            let enc = self.encoder.encode_mounted(&mut g, &mounted, sg, false, &mut rng);
+            let enc = self.encoder.encode_reference(&mut g, &mounted, sg, false, &mut rng);
             let r = match rel_rows.get(&rel.index()) {
                 Some(&r) => r,
                 None => {

@@ -33,6 +33,7 @@ pub fn train(model: &mut DekgIlp, dataset: &DekgDataset, rng: &mut dyn RngCore) 
     let cfg = model.config().clone();
     let started = Instant::now();
 
+    let setup_span = dekg_obs::span!("train_setup");
     let train_graph = InferenceGraph::training_view(dataset);
     let mut sampler =
         NegativeSampler::new(0..dataset.num_original_entities as u32, vec![&dataset.original]);
@@ -40,6 +41,7 @@ pub fn train(model: &mut DekgIlp, dataset: &DekgDataset, rng: &mut dyn RngCore) 
         sampler = sampler.with_bernoulli(&dataset.original);
     }
     let mut opt = Adam::new(cfg.lr);
+    drop(setup_span);
 
     let mut positives: Vec<Triple> = dataset.original.triples().to_vec();
     let mut initial_loss = 0.0f32;
@@ -64,9 +66,19 @@ pub fn train(model: &mut DekgIlp, dataset: &DekgDataset, rng: &mut dyn RngCore) 
         let mut batches = 0usize;
 
         for batch in positives.chunks(cfg.batch_size) {
+            // prepare → record → backward → optimizer step, each phase
+            // under its own span (the split is RNG-transparent, see
+            // `PreparedBatch`).
+            let prepared = {
+                let _span = dekg_obs::span!("train_prepare");
+                prepare_batch(model, &sampler, &train_graph, batch, rng)
+            };
             let mut g = Graph::new();
-            let parts =
-                batch_loss_parts(&mut g, model, dataset, &train_graph, &sampler, batch, rng);
+            let parts = {
+                let _span = dekg_obs::span!("train_forward");
+                record_prepared(&mut g, model, dataset, &train_graph, &prepared, rng)
+            };
+            drop(prepared);
             let loss = parts.total;
 
             let loss_val = g.value(loss).item();
@@ -114,9 +126,16 @@ pub fn train(model: &mut DekgIlp, dataset: &DekgDataset, rng: &mut dyn RngCore) 
                 tape_dead_gauge.set(dead_ops as f64);
             }
 
-            let mut grads = g.backward(loss);
-            let grad_norm = grads.clip_global_norm(cfg.grad_clip);
-            opt.step(model.params_mut(), &grads);
+            let mut grads = {
+                let _span = dekg_obs::span!("train_backward");
+                g.backward(loss)
+            };
+            let grad_norm = {
+                let _span = dekg_obs::span!("optim_step");
+                let grad_norm = grads.clip_global_norm(cfg.grad_clip);
+                opt.step(model.params_mut(), &grads);
+                grad_norm
+            };
 
             steps_total.inc();
             loss_gauge.set(f64::from(loss_val));
@@ -466,7 +485,10 @@ pub fn prepare_batch(
     let neg_master: u64 = rng.gen();
     let pos_rep: Vec<Triple> =
         batch.iter().flat_map(|t| std::iter::repeat(*t).take(cfg.neg_per_pos)).collect();
-    let negs = sampler.corrupt_batch(batch, cfg.neg_per_pos, neg_master);
+    let negs = {
+        let _span = dekg_obs::span!("negative_sampling");
+        sampler.corrupt_batch(batch, cfg.neg_per_pos, neg_master)
+    };
 
     let extractor = SubgraphExtractor::new(&train_graph.adjacency, cfg.hops, cfg.extraction_mode())
         .with_backend(model.distance_backend());
@@ -490,20 +512,27 @@ pub fn record_prepared(
     let cfg = model.config();
     let batch = &prepared.batch;
 
-    // φ_sem over both sides in one tape.
-    let (sem_pos, sem_neg) = match model.clrm() {
-        Some(clrm) => {
-            let p = clrm.score(g, model.params(), &train_graph.tables, &prepared.pos_rep);
-            let n = clrm.score(g, model.params(), &train_graph.tables, &prepared.negs);
+    // φ_sem over both sides in one tape, CLRM mounted once for the
+    // whole batch (scores and contrastive terms share the handles).
+    let clrm = model.clrm().map(|clrm| (clrm, clrm.mount(g, model.params())));
+    let (sem_pos, sem_neg) = match &clrm {
+        Some((clrm, mounted)) => {
+            let _span = dekg_obs::span!("clrm_score");
+            let tables = &train_graph.tables;
+            let p = clrm.score_mounted(g, mounted, tables, &prepared.pos_rep);
+            let n = clrm.score_mounted(g, mounted, tables, &prepared.negs);
             (Some(p), Some(n))
         }
         None => (None, None),
     };
 
-    // φ_tpo per triple over the pre-extracted subgraphs.
+    // φ_tpo per triple over the pre-extracted subgraphs, GSM mounted
+    // once for the whole batch.
     let gsm = model.gsm();
-    let tpo_pos = score_extracted(model, gsm, &prepared.pos_rep, &prepared.pos_subgraphs, g, rng);
-    let tpo_neg = score_extracted(model, gsm, &prepared.negs, &prepared.neg_subgraphs, g, rng);
+    let mounted = gsm.mount(g, model.params());
+    let tpo_pos =
+        score_extracted(gsm, &mounted, &prepared.pos_rep, &prepared.pos_subgraphs, g, rng);
+    let tpo_neg = score_extracted(gsm, &mounted, &prepared.negs, &prepared.neg_subgraphs, g, rng);
 
     let phi_pos = combine(g, sem_pos, tpo_pos);
     let phi_neg = combine(g, sem_neg, tpo_neg);
@@ -514,8 +543,9 @@ pub fn record_prepared(
     let tpo_pos_mean = g.mean_all(tpo_pos);
 
     // Contrastive term over the batch's distinct entities.
-    if let Some(clrm) = model.clrm() {
+    if let Some((clrm, mounted)) = &clrm {
         if cfg.ablation.use_contrastive && cfg.sigma > 0.0 {
+            let _span = dekg_obs::span!("clrm_contrastive");
             let entities: BTreeSet<EntityId> =
                 batch.iter().flat_map(|t| [t.head, t.tail]).collect();
             let mut terms: Vec<Var> = Vec::with_capacity(entities.len());
@@ -531,14 +561,7 @@ pub fn record_prepared(
                     cfg.num_contrastive,
                     rng,
                 );
-                terms.push(clrm.contrastive_loss(
-                    g,
-                    model.params(),
-                    anchor,
-                    &pos,
-                    &neg,
-                    cfg.margin,
-                ));
+                terms.push(clrm.contrastive_loss(g, mounted, anchor, &pos, &neg, cfg.margin));
             }
             if !terms.is_empty() {
                 let stacked = g.stack_scalars(&terms);
@@ -631,12 +654,12 @@ fn extract_side(
 }
 
 /// The recording half of one side's φ_tpo scoring: scores pre-extracted
-/// subgraphs topologically, returning a stacked `[n]` Var. Recording
-/// stays serial because the autograd graph and the dropout stream are
-/// inherently ordered.
+/// subgraphs topologically against the batch's mounted GSM, returning a
+/// stacked `[n]` Var. Recording stays serial because the autograd graph
+/// and the dropout stream are inherently ordered.
 fn score_extracted(
-    model: &DekgIlp,
     gsm: &crate::gsm::Gsm,
+    mounted: &crate::gsm::MountedGsm,
     triples: &[Triple],
     subgraphs: &[dekg_kg::Subgraph],
     g: &mut Graph,
@@ -644,7 +667,7 @@ fn score_extracted(
 ) -> Var {
     let mut scores = Vec::with_capacity(triples.len());
     for (t, sg) in triples.iter().zip(subgraphs) {
-        let s = gsm.score_subgraph(g, model.params(), sg, t.rel, true, rng);
+        let s = gsm.score_subgraph_mounted(g, mounted, sg, t.rel, true, rng);
         scores.push(s);
     }
     let stacked = g.stack_scalars(&scores);
@@ -858,7 +881,8 @@ mod tests {
             let sem = g.mean_all(scores);
             let anchor = graph.tables.row(triples[0].head);
             let (pos, neg) = sampling::sample_pairs(anchor, d.num_relations, 2.0, 2, &mut rng);
-            let lc = clrm.contrastive_loss(&mut g, m.params(), anchor, &pos, &neg, 1.0);
+            let mounted = clrm.mount(&mut g, m.params());
+            let lc = clrm.contrastive_loss(&mut g, &mounted, anchor, &pos, &neg, 1.0);
             let loss = g.add(sem, lc);
             (g, loss)
         };
@@ -888,7 +912,8 @@ mod tests {
                 SubgraphExtractor::new(&graph.adjacency, cfg.hops, cfg.extraction_mode());
             let mut g = Graph::new();
             let subgraphs = extract_side(&extractor, &triples, true);
-            let scores = score_extracted(m, m.gsm(), &triples, &subgraphs, &mut g, &mut rng);
+            let mounted = m.gsm().mount(&mut g, m.params());
+            let scores = score_extracted(m.gsm(), &mounted, &triples, &subgraphs, &mut g, &mut rng);
             let loss = g.mean_all(scores);
             (g, loss)
         };

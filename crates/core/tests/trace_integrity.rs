@@ -250,3 +250,52 @@ fn span_nesting_is_well_formed_under_parallel_shuffled_close_order() {
         last_end.insert(e.tid, end);
     }
 }
+
+/// The top-level phases of a training epoch: one-off set-up, then per
+/// step prepare (negative sampling, subgraph extraction), forward
+/// recording, backward and the optimizer step. None nests in another,
+/// so their seconds add up.
+const TRAINING_PHASES: &[&str] =
+    &["train_setup", "train_prepare", "train_forward", "train_backward", "optim_step"];
+
+/// Finer spans inside those phases that a training epoch must close.
+const TRAINING_DETAIL: &[&str] = &[
+    "negative_sampling",
+    "extract_subgraph",
+    "rgcn_layer",
+    "clrm_score",
+    "clrm_contrastive",
+    "rgcn_layer_backward",
+];
+
+#[test]
+fn training_spans_cover_the_epoch() {
+    use dekg_core::{DekgIlp, DekgIlpConfig, TrainableModel};
+    use rand::SeedableRng;
+
+    let _guard = lock();
+    let data = dekg_datasets::tiny_fixture(3);
+    let cfg = DekgIlpConfig { epochs: 1, ..DekgIlpConfig::quick() };
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(4);
+    let mut model = DekgIlp::new(cfg, &data, &mut rng);
+    // One worker thread: span seconds are CPU-seconds summed across
+    // workers, so a single thread makes them comparable to wall time.
+    let pool = ThreadPoolBuilder::new().num_threads(1).build().expect("pool");
+    dekg_obs::span::set_spans_enabled(true);
+    let before = dekg_obs::span::span_snapshot();
+    let started = std::time::Instant::now();
+    pool.install(|| model.fit(&data, &mut rng));
+    let wall = started.elapsed().as_secs_f64();
+    let spans = dekg_obs::span::span_snapshot().diff(&before);
+    for name in TRAINING_PHASES.iter().chain(TRAINING_DETAIL) {
+        assert!(spans.get(name).is_some_and(|s| s.count > 0), "span {name} never closed");
+    }
+    let covered: f64 =
+        TRAINING_PHASES.iter().filter_map(|name| spans.get(name)).map(|s| s.seconds).sum();
+    let coverage = covered / wall;
+    assert!(
+        coverage >= 0.9,
+        "training phases attribute {:.1}% of the epoch ({covered:.4} s of {wall:.4} s): {spans:?}",
+        coverage * 100.0
+    );
+}

@@ -2,7 +2,7 @@
 //! baselines.
 
 use crate::labeling::{feature_width, node_features, LabelingMode};
-use crate::rgcn::{BatchedLayerScratch, RgcnLayer, RgcnLayerConfig};
+use crate::rgcn::{layer_edges, MountedRgcnLayer, RgcnLayer, RgcnLayerConfig};
 use dekg_kg::{BatchedSubgraphs, Subgraph};
 use dekg_tensor::{kernels, Graph, ParamStore, Var};
 use rand::Rng;
@@ -101,7 +101,8 @@ impl SubgraphEncoder {
         &self.cfg
     }
 
-    /// Encodes one subgraph. `train` enables edge dropout.
+    /// Encodes one subgraph (fused layer ops, parameters mounted for
+    /// this subgraph alone). `train` enables edge dropout.
     pub fn encode(
         &self,
         g: &mut Graph,
@@ -115,38 +116,68 @@ impl SubgraphEncoder {
     }
 
     /// Mounts every layer's parameters once; the handles can encode
-    /// many subgraphs on the same tape (batched evaluation — repeated
-    /// mounting copies the per-relation weight stacks per candidate,
-    /// which dominates scoring cost otherwise).
-    pub fn mount(&self, g: &mut Graph, params: &ParamStore) -> Vec<crate::rgcn::MountedRgcnLayer> {
+    /// many subgraphs on the same tape (a training batch; the
+    /// reference scorer). Mounting once per subgraph would copy every
+    /// per-relation weight stack per subgraph.
+    pub fn mount(&self, g: &mut Graph, params: &ParamStore) -> Vec<MountedRgcnLayer> {
         self.layers.iter().map(|l| l.mount(g, params)).collect()
     }
 
-    /// Encodes one subgraph against pre-mounted layer handles.
+    /// Encodes one subgraph against pre-mounted layer handles, one fused
+    /// tape node per layer ([`RgcnLayer::record`]) — the production
+    /// training path. Bitwise identical, values and gradients, to
+    /// [`SubgraphEncoder::encode_reference`].
     pub fn encode_mounted(
         &self,
         g: &mut Graph,
-        mounted: &[crate::rgcn::MountedRgcnLayer],
+        mounted: &[MountedRgcnLayer],
         sg: &Subgraph,
         train: bool,
         rng: &mut impl Rng,
     ) -> EncodedSubgraph {
         assert_eq!(mounted.len(), self.layers.len(), "mounted handle count mismatch");
-        let feats = node_features(sg, self.cfg.hops, self.cfg.labeling);
-        let mut h = g.constant(feats);
+        let mut h = g.constant(node_features(sg, self.cfg.hops, self.cfg.labeling));
+        let edges = layer_edges(sg, self.edge_keep(sg, train, rng).as_deref());
+        for (layer, m) in self.layers.iter().zip(mounted) {
+            h = layer.record(g, m, &edges, h);
+        }
+        self.readout(g, h)
+    }
 
-        // One edge-dropout mask shared by all layers, as in GraIL.
-        let edge_keep: Option<Vec<bool>> = if train && self.cfg.edge_dropout > 0.0 {
-            let keep = 1.0 - self.cfg.edge_dropout;
-            Some((0..sg.num_edges()).map(|_| rng.gen::<f32>() < keep).collect())
-        } else {
-            None
-        };
-
+    /// The unfused reference encoding: every layer recorded op by op
+    /// ([`RgcnLayer::forward_mounted`]). Same RNG draws, values and
+    /// gradients as [`SubgraphEncoder::encode_mounted`]; it is the
+    /// oracle the fused op and the packed evaluation engine are pinned
+    /// to (reached end to end through `TapeReference`).
+    pub fn encode_reference(
+        &self,
+        g: &mut Graph,
+        mounted: &[MountedRgcnLayer],
+        sg: &Subgraph,
+        train: bool,
+        rng: &mut impl Rng,
+    ) -> EncodedSubgraph {
+        assert_eq!(mounted.len(), self.layers.len(), "mounted handle count mismatch");
+        let mut h = g.constant(node_features(sg, self.cfg.hops, self.cfg.labeling));
+        let edge_keep = self.edge_keep(sg, train, rng);
         for (layer, m) in self.layers.iter().zip(mounted) {
             h = layer.forward_mounted(g, m, sg, h, edge_keep.as_deref());
         }
+        self.readout(g, h)
+    }
 
+    /// One edge-dropout mask shared by all layers, as in GraIL (`None`
+    /// outside training or without dropout).
+    fn edge_keep(&self, sg: &Subgraph, train: bool, rng: &mut impl Rng) -> Option<Vec<bool>> {
+        (train && self.cfg.edge_dropout > 0.0).then(|| {
+            let keep = 1.0 - self.cfg.edge_dropout;
+            (0..sg.num_edges()).map(|_| rng.gen::<f32>() < keep).collect()
+        })
+    }
+
+    /// Eq. 10 readout: mean-pooled graph embedding plus the head and
+    /// tail rows.
+    fn readout(&self, g: &mut Graph, h: Var) -> EncodedSubgraph {
         let graph_vec = g.mean_axis0(h); // [dim]
         let graph = g.reshape(graph_vec, [1, self.cfg.dim]);
         let head = g.gather_rows(h, &[0]);
@@ -157,7 +188,7 @@ impl SubgraphEncoder {
     /// Forward-only encoding over a block-diagonal pack of subgraphs:
     /// no tape, no dropout. Bitwise identical, segment by segment, to
     /// [`SubgraphEncoder::encode`] with `train = false` on each subgraph
-    /// alone (see [`RgcnLayer::forward_inference_batched`] for the
+    /// alone (see [`dekg_tensor::rgcn::layer_forward`] for the
     /// layer-level argument; the readout below accumulates each
     /// segment's rows in order and scales by `1/n`, as the tape's
     /// `mean_axis0` does). This is the evaluation path: it skips the
@@ -253,7 +284,7 @@ pub struct BatchedEncodeWorkspace {
     h_a: Vec<f32>,
     h_b: Vec<f32>,
     labels: Vec<(i32, i32)>,
-    scratch: BatchedLayerScratch,
+    scratch: dekg_tensor::rgcn::LayerScratch,
     /// Mean-pooled graph embedding per segment, row-major `[b, dim]`.
     pub graph: Vec<f32>,
     /// Head (local node 0) embedding per segment, `[b, dim]`.
@@ -430,6 +461,142 @@ mod tests {
                 assert_eq!(g.value(tape.tail).data(), &ws.tails[rows], "tail {case}");
             }
         }
+    }
+
+    /// Bits of every parameter gradient, keyed by parameter name.
+    fn grad_bits(ps: &ParamStore, grads: &dekg_tensor::GradStore) -> Vec<(String, Vec<u32>)> {
+        ps.iter()
+            .filter_map(|(id, name, _)| {
+                grads
+                    .get(id)
+                    .map(|t| (name.to_string(), t.data().iter().map(|x| x.to_bits()).collect()))
+            })
+            .collect()
+    }
+
+    /// Encodes every mixed subgraph on one tape — `fused` mounts once
+    /// and records one node per layer, the oracle mounts per subgraph
+    /// and records op by op — then sums a readout loss and returns the
+    /// per-subgraph (graph, head, tail) bits and the gradient bits.
+    #[allow(clippy::type_complexity)] // test-local tuple of bit vectors
+    fn encode_all(
+        enc: &SubgraphEncoder,
+        ps: &ParamStore,
+        sgs: &[Subgraph],
+        train: bool,
+        fused: bool,
+    ) -> (Vec<[Vec<u32>; 3]>, Vec<(String, Vec<u32>)>, usize) {
+        let mut rng = ChaCha8Rng::seed_from_u64(99);
+        let mut g = Graph::new();
+        let once = fused.then(|| enc.mount(&mut g, ps));
+        let mut outs = Vec::new();
+        let mut terms = Vec::new();
+        for sg in sgs {
+            let e = match &once {
+                Some(m) => enc.encode_mounted(&mut g, m, sg, train, &mut rng),
+                None => {
+                    let per_subgraph = enc.mount(&mut g, ps);
+                    enc.encode_reference(&mut g, &per_subgraph, sg, train, &mut rng)
+                }
+            };
+            let bits = |v: Var| g.value(v).data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            outs.push([bits(e.graph), bits(e.head), bits(e.tail)]);
+            let sq = g.square(e.graph);
+            let pooled = g.sum_all(sq);
+            let ht = g.mul(e.head, e.tail);
+            let ends = g.sum_all(ht);
+            terms.push(g.add(pooled, ends));
+        }
+        let stacked = g.stack_scalars(&terms);
+        let loss = g.sum_all(stacked);
+        let grads = g.backward(loss);
+        (outs, grad_bits(ps, &grads), g.len())
+    }
+
+    /// A hub-heavy subgraph: several same-relation edges share each
+    /// destination, so every gradient row sums many messages and the
+    /// order of those sums shows in the bits.
+    fn dense_subgraph() -> Subgraph {
+        let mut triples = Vec::new();
+        for s in 2..7 {
+            triples.push(Triple::from_raw(s, 0, 0));
+            triples.push(Triple::from_raw(s, 1, 1));
+            triples.push(Triple::from_raw(0, 0, s));
+            triples.push(Triple::from_raw(s, 0, (s + 1) % 7));
+        }
+        let store = TripleStore::from_triples(triples);
+        let adj = Adjacency::from_store(&store, 7);
+        SubgraphExtractor::new(&adj, 2, ExtractionMode::Union).extract(
+            EntityId(0),
+            EntityId(1),
+            None,
+        )
+    }
+
+    #[test]
+    fn fused_layer_op_is_bitwise_identical_to_unfused_oracle() {
+        // The production encoding (one fused node per layer, parameters
+        // mounted once per batch) must reproduce the unfused recording
+        // with per-subgraph mounts bit for bit: values and every
+        // parameter gradient, over connected, disconnected, edgeless,
+        // cyclic, self-link and reversed subgraphs, both labelings,
+        // with and without bases, with edge dropout on and off, plus a
+        // hub-heavy subgraph where many messages meet at one node.
+        let mut sgs = mixed_subgraphs();
+        sgs.push(dense_subgraph());
+        for num_bases in [None, Some(3)] {
+            for labeling in [LabelingMode::Improved, LabelingMode::Grail] {
+                for train in [false, true] {
+                    let mut rng = ChaCha8Rng::seed_from_u64(31);
+                    let mut ps = ParamStore::new();
+                    let cfg = SubgraphEncoderConfig { num_bases, labeling, ..tiny_cfg() };
+                    let enc = SubgraphEncoder::new(cfg, "gsm", &mut ps, &mut rng);
+                    let case = format!("{num_bases:?} {labeling:?} train={train}");
+                    let (fused, fused_grads, fused_nodes) =
+                        encode_all(&enc, &ps, &sgs, train, true);
+                    let (oracle, oracle_grads, oracle_nodes) =
+                        encode_all(&enc, &ps, &sgs, train, false);
+                    for (i, (f, o)) in fused.iter().zip(&oracle).enumerate() {
+                        assert_eq!(f, o, "graph/head/tail of subgraph {i}, {case}");
+                    }
+                    let names = |gs: &[(String, Vec<u32>)]| {
+                        gs.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>()
+                    };
+                    assert_eq!(names(&fused_grads), names(&oracle_grads), "grad entries, {case}");
+                    for ((name, f), (_, o)) in fused_grads.iter().zip(&oracle_grads) {
+                        assert_eq!(f, o, "gradient of {name}, {case}");
+                    }
+                    assert!(fused_nodes < oracle_nodes, "fused tape should be smaller, {case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fused_encoder_tape_passes_differential_check() {
+        // The f64 reference interpreter re-derives the fused op's values
+        // and gradients independently of the hand-written backward.
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let mut ps = ParamStore::new();
+        let enc = SubgraphEncoder::new(
+            SubgraphEncoderConfig { num_bases: Some(2), ..tiny_cfg() },
+            "gsm",
+            &mut ps,
+            &mut rng,
+        );
+        let mut g = Graph::new();
+        let mounted = enc.mount(&mut g, &ps);
+        let mut terms = Vec::new();
+        for sg in &mixed_subgraphs() {
+            let out = enc.encode_mounted(&mut g, &mounted, sg, true, &mut rng);
+            let pooled = g.sum_all(out.graph);
+            let head = g.sum_all(out.head);
+            terms.push(g.add(pooled, head));
+        }
+        let stacked = g.stack_scalars(&terms);
+        let loss = g.sum_all(stacked);
+        let diags = g.diff_check(loss, Some(&ps));
+        assert!(diags.is_empty(), "fused encoder tape should be clean: {diags:?}");
     }
 
     #[test]

@@ -17,12 +17,13 @@
 //! at the model level).
 
 use dekg_kg::{BatchedSubgraphs, Subgraph};
-use dekg_tensor::{init, kernels, Graph, ParamId, ParamStore, Tensor, Var};
+use dekg_tensor::rgcn::{self, EdgeGroup, LayerEdges, LayerGraph, LayerScratch, LayerWeights};
+use dekg_tensor::{init, Graph, ParamId, ParamStore, RelWeightVars, RgcnLayerVars, Tensor, Var};
 use rand::Rng;
+use std::sync::Arc;
 
 /// Groups surviving edge indices by relation, sorted by relation id —
-/// the deterministic order the tape forward iterates in, and the order
-/// [`RgcnLayer::forward_inference_batched`] reproduces per segment.
+/// the deterministic order every layer path iterates in.
 fn group_edges_by_relation(sg: &Subgraph, edge_keep: Option<&[bool]>) -> Vec<(usize, Vec<usize>)> {
     let mut groups: std::collections::BTreeMap<usize, Vec<usize>> =
         std::collections::BTreeMap::new();
@@ -32,6 +33,58 @@ fn group_edges_by_relation(sg: &Subgraph, edge_keep: Option<&[bool]>) -> Vec<(us
         }
     }
     groups.into_iter().collect()
+}
+
+/// The kept edges of `sg` grouped by relation, as the fused layer op
+/// consumes them. `edge_keep` masks edges (edge dropout); every layer of
+/// one encoding shares the result.
+///
+/// # Panics
+/// If the mask length differs from the subgraph's edge count.
+pub fn layer_edges(sg: &Subgraph, edge_keep: Option<&[bool]>) -> Arc<LayerEdges> {
+    if let Some(mask) = edge_keep {
+        assert_eq!(mask.len(), sg.num_edges(), "edge mask length mismatch");
+    }
+    let groups = group_edges_by_relation(sg, edge_keep)
+        .into_iter()
+        .map(|(rel, ids)| EdgeGroup {
+            rel,
+            srcs: ids.iter().map(|&i| sg.edges[i].src).collect(),
+            dsts: ids.iter().map(|&i| sg.edges[i].dst).collect(),
+        })
+        .collect();
+    Arc::new(LayerEdges::new(sg.num_nodes(), groups))
+}
+
+/// A block-diagonal pack seen by the layer kernel: each relation group
+/// touches only its participating segments' rows.
+struct Packed<'a, 'b>(&'a BatchedSubgraphs<'b>);
+
+impl LayerGraph for Packed<'_, '_> {
+    fn num_groups(&self) -> usize {
+        self.0.by_rel().len()
+    }
+    fn rel(&self, g: usize) -> usize {
+        self.0.by_rel()[g].rel
+    }
+    fn srcs(&self, g: usize) -> &[u32] {
+        &self.0.by_rel()[g].srcs
+    }
+    fn dsts(&self, g: usize) -> &[u32] {
+        &self.0.by_rel()[g].dsts
+    }
+    fn num_segments(&self, g: usize) -> usize {
+        self.0.by_rel()[g].segments.len()
+    }
+    fn segment_rows(&self, g: usize, k: usize) -> std::ops::Range<usize> {
+        self.0.segment(self.0.by_rel()[g].segments[k] as usize)
+    }
+}
+
+/// Routes the tensor crate's named kernel scopes (the fused layer's
+/// backward) into `dekg-obs` spans.
+fn install_span_hook() {
+    dekg_tensor::prof::set_scope_hook(|name| Box::new(dekg_obs::span::SpanTimer::enter(name)));
 }
 
 /// Configuration for one layer.
@@ -121,26 +174,30 @@ impl RgcnLayer {
     }
 
     /// Mounts the layer's parameters onto a tape once, so many
-    /// subgraphs can share them (batched scoring). The mounted handles
-    /// are only valid for `g`.
+    /// subgraphs can share them (a training batch, batched scoring).
+    /// The mounted handles are only valid for `g`.
     pub fn mount(&self, g: &mut Graph, params: &ParamStore) -> MountedRgcnLayer {
+        install_span_hook();
         MountedRgcnLayer {
-            w_self: g.param(params, self.w_self),
-            bias: g.param(params, self.bias),
-            attn_embed: g.param(params, self.attn_embed),
-            w_attn: g.param(params, self.w_attn),
-            rel_weights: match &self.rel_weights {
-                RelWeights::Full(w) => MountedRelWeights::Full(g.param(params, *w)),
-                RelWeights::Bases { coeffs, bases } => MountedRelWeights::Bases {
-                    coeffs: g.param(params, *coeffs),
-                    bases: g.param(params, *bases),
+            vars: RgcnLayerVars {
+                w_self: g.param(params, self.w_self),
+                bias: g.param(params, self.bias),
+                attn_embed: g.param(params, self.attn_embed),
+                w_attn: g.param(params, self.w_attn),
+                rel: match &self.rel_weights {
+                    RelWeights::Full(w) => RelWeightVars::Full(g.param(params, *w)),
+                    RelWeights::Bases { coeffs, bases } => RelWeightVars::Bases {
+                        coeffs: g.param(params, *coeffs),
+                        bases: g.param(params, *bases),
+                    },
                 },
             },
         }
     }
 
     /// Runs the layer over `sg` given node embeddings `h [n, in_dim]`,
-    /// returning `[n, out_dim]`.
+    /// returning `[n, out_dim]`: mounts the parameters and records the
+    /// fused op ([`RgcnLayer::record`]).
     ///
     /// `edge_keep` optionally masks edges (edge dropout): edges whose
     /// slot is `false` send no message this pass.
@@ -153,10 +210,37 @@ impl RgcnLayer {
         edge_keep: Option<&[bool]>,
     ) -> Var {
         let mounted = self.mount(g, params);
-        self.forward_mounted(g, &mounted, sg, h, edge_keep)
+        self.record(g, &mounted, &layer_edges(sg, edge_keep), h)
     }
 
-    /// Like [`RgcnLayer::forward`] but reusing pre-mounted parameters.
+    /// Records the layer over one subgraph as a single fused tape node
+    /// ([`Graph::rgcn_layer`]) against pre-mounted parameters. This is
+    /// the production training path. Values and gradients are bitwise
+    /// those of the unfused recording [`RgcnLayer::forward_mounted`].
+    ///
+    /// # Panics
+    /// If `h`'s shape does not match the subgraph or the layer.
+    pub fn record(
+        &self,
+        g: &mut Graph,
+        mounted: &MountedRgcnLayer,
+        edges: &Arc<LayerEdges>,
+        h: Var,
+    ) -> Var {
+        let _span = dekg_obs::span!("rgcn_layer");
+        let (h_rows, in_dim) = g.shape(h).as_matrix();
+        assert_eq!(h_rows, edges.num_nodes(), "embedding row count must match subgraph nodes");
+        assert_eq!(in_dim, self.cfg.in_dim, "embedding width mismatch");
+        g.rgcn_layer(h, mounted.vars, edges)
+    }
+
+    /// The unfused recording: per relation group, a dozen small ops
+    /// (weight gather, source gather, message matmul, attention concat /
+    /// matmul / sigmoid / widening, product, scatter, accumulate). It
+    /// is the reference the fused op ([`RgcnLayer::record`]) and the
+    /// evaluation kernel ([`RgcnLayer::forward_inference_batched`]) are
+    /// pinned to, reached through `TapeReference` and the pins in this
+    /// crate's tests.
     pub fn forward_mounted(
         &self,
         g: &mut Graph,
@@ -177,8 +261,9 @@ impl RgcnLayer {
         // Group surviving edges by relation for batched per-relation matmuls.
         let by_rel = group_edges_by_relation(sg, edge_keep);
 
-        let self_msg = g.matmul(h, mounted.w_self);
-        let bias_b = g.broadcast_row(mounted.bias, n);
+        let m = &mounted.vars;
+        let self_msg = g.matmul(h, m.w_self);
+        let bias_b = g.broadcast_row(m.bias, n);
         let mut acc = g.add(self_msg, bias_b);
 
         if !by_rel.is_empty() {
@@ -195,9 +280,9 @@ impl RgcnLayer {
 
                 // Attention: sigmoid([h_s ⊕ h_t ⊕ q_r] · w_att).
                 let h_dst = g.gather_rows(h, &dsts);
-                let q_r = g.gather_rows(mounted.attn_embed, &vec![*rel; n_e]);
+                let q_r = g.gather_rows(m.attn_embed, &vec![*rel; n_e]);
                 let att_in = g.concat_cols(&[h_src, h_dst, q_r]);
-                let att_logit = g.matmul(att_in, mounted.w_attn); // [E_r, 1]
+                let att_logit = g.matmul(att_in, m.w_attn); // [E_r, 1]
                 let att = g.sigmoid(att_logit);
                 let att_wide = g.matmul(att, ones_row); // [E_r, out]
 
@@ -214,32 +299,8 @@ impl RgcnLayer {
     /// no dropout — bitwise identical, segment by segment, to
     /// [`RgcnLayer::forward_mounted`] with `edge_keep = None` on each
     /// subgraph alone. That identity is what lets evaluation take this
-    /// path while training keeps the autograd tape.
-    ///
-    /// Why the identity holds, kernel by kernel:
-    ///
-    /// * `acc = h · W_self + bias` per row, as the tape's
-    ///   `add(matmul(h, W_self), broadcast_row(bias))`;
-    /// * the self term is either one big `matmul` (whose rows are
-    ///   computed independently, so packing rows changes nothing) or,
-    ///   for the one-hot label features of layer 0, a row gather
-    ///   implemented as `0 + w_row` adds in ascending one-hot column
-    ///   order — exactly the FLOPs the zero-skip `matmul` performs on a
-    ///   one-hot row (`labels` selects this);
-    /// * relations are visited in global ascending order, and a segment
-    ///   participates only in the relations it contains — for that
-    ///   segment the visit order equals its own ascending
-    ///   `group_edges_by_relation` order;
-    /// * per relation, messages/attention for all segments' edges run
-    ///   as one packed matmul (again row-independent), and the scatter
-    ///   and `acc += agg` accumulation touch **only the participating
-    ///   segments' row ranges**, in each segment's edge order. Skipping
-    ///   foreign segments is not just an optimization: adding an
-    ///   all-zero `agg` row would flip `-0.0` outputs to `+0.0` and
-    ///   break bitwise equality;
-    /// * each message is scaled by its attention scalar directly, where
-    ///   the tape first widens the `[E_r, 1]` attention column with a
-    ///   ones-matmul — `a * 1.0` is exact in f32, so the products match.
+    /// path while training keeps the autograd tape; the kernel
+    /// ([`dekg_tensor::rgcn::layer_forward`]) documents why it holds.
     ///
     /// `h` is the packed `[total_nodes, in_dim]` input; the output is
     /// written into `out` (resized, no allocation in the steady state).
@@ -253,140 +314,47 @@ impl RgcnLayer {
         h: &[f32],
         labels: Option<&[(i32, i32)]>,
         out: &mut Vec<f32>,
-        scratch: &mut BatchedLayerScratch,
+        scratch: &mut LayerScratch,
     ) {
         let _span = dekg_obs::span!("rgcn_layer_inference");
-        let n = batch.total_nodes();
-        let in_dim = self.cfg.in_dim;
-        let out_dim = self.cfg.out_dim;
-        let attn_dim = self.cfg.attn_dim;
-        debug_assert_eq!(h.len(), n * in_dim, "packed embedding shape mismatch");
-        let w_self = params.get(self.w_self).data();
-        let bias = params.get(self.bias).data();
-        let attn_embed = params.get(self.attn_embed);
-        let w_attn = params.get(self.w_attn).data();
+        let w = self.weights(params);
+        rgcn::layer_forward(&w, &Packed(batch), batch.total_nodes(), h, labels, out, scratch, None);
+    }
 
-        // Self term: acc = h · W_self (+ bias per row below).
-        out.resize(n * out_dim, 0.0);
-        match labels {
-            None => kernels::matmul(h, w_self, out, n, in_dim, out_dim),
-            Some(lbl) => {
-                // One-hot gather: replicate the zero-skip matmul's work
-                // on a one-hot row — zero the row, then += the selected
-                // W_self rows in ascending column order (the head block
-                // precedes the tail block).
-                debug_assert_eq!(lbl.len(), n, "label count mismatch");
-                let width = in_dim / 2;
-                for (row, &(dh, dt)) in out.chunks_exact_mut(out_dim).zip(lbl) {
-                    row.fill(0.0);
-                    if dh >= 0 {
-                        kernels::add_assign(row, &w_self[dh as usize * out_dim..][..out_dim]);
-                    }
-                    if dt >= 0 {
-                        let p = width + dt as usize;
-                        kernels::add_assign(row, &w_self[p * out_dim..][..out_dim]);
-                    }
-                }
-            }
-        }
-        for row in out.chunks_exact_mut(out_dim) {
-            for (x, &b) in row.iter_mut().zip(bias) {
-                *x += b;
-            }
-        }
-
-        let att_width = 2 * in_dim + attn_dim;
-        scratch.agg.resize(n * out_dim, 0.0);
-        for group in batch.by_rel() {
-            let rel = group.rel;
-            let n_e = group.srcs.len();
-            let w_r: &[f32] = match &self.rel_weights {
-                RelWeights::Full(all) => {
-                    let stacked = params.get(*all).data();
-                    &stacked[rel * in_dim * out_dim..(rel + 1) * in_dim * out_dim]
-                }
-                RelWeights::Bases { coeffs, bases } => {
-                    let c = params.get(*coeffs);
-                    let num_bases = c.shape().as_matrix().1;
-                    scratch.w_r.resize(in_dim * out_dim, 0.0);
-                    kernels::matmul(
-                        c.row(rel),
-                        params.get(*bases).data(),
-                        &mut scratch.w_r,
-                        1,
-                        num_bases,
-                        in_dim * out_dim,
-                    );
-                    &scratch.w_r
-                }
-            };
-
-            // Gather h_src and assemble [h_s ⊕ h_t ⊕ q_r] per edge,
-            // across all participating segments at once.
-            scratch.h_src.resize(n_e * in_dim, 0.0);
-            scratch.att_in.resize(n_e * att_width, 0.0);
-            let q_r = attn_embed.row(rel);
-            for (row, (&s, &d)) in group.srcs.iter().zip(&group.dsts).enumerate() {
-                let (s, d) = (s as usize, d as usize);
-                scratch.h_src[row * in_dim..(row + 1) * in_dim]
-                    .copy_from_slice(&h[s * in_dim..(s + 1) * in_dim]);
-                let cat = &mut scratch.att_in[row * att_width..(row + 1) * att_width];
-                cat[..in_dim].copy_from_slice(&h[s * in_dim..(s + 1) * in_dim]);
-                cat[in_dim..2 * in_dim].copy_from_slice(&h[d * in_dim..(d + 1) * in_dim]);
-                cat[2 * in_dim..].copy_from_slice(q_r);
-            }
-
-            scratch.msgs.resize(n_e * out_dim, 0.0);
-            kernels::matmul(&scratch.h_src, w_r, &mut scratch.msgs, n_e, in_dim, out_dim);
-            scratch.att.resize(n_e, 0.0);
-            kernels::matmul(&scratch.att_in, w_attn, &mut scratch.att, n_e, att_width, 1);
-            for a in &mut scratch.att {
-                *a = 1.0 / (1.0 + (-*a).exp());
-            }
-
-            // Zero, scatter, and accumulate only the participating
-            // segments' rows; other segments' agg rows are stale but
-            // never read.
-            for &si in &group.segments {
-                let r = batch.segment(si as usize);
-                scratch.agg[r.start * out_dim..r.end * out_dim].fill(0.0);
-            }
-            for (row, &d) in group.dsts.iter().enumerate() {
-                let d = d as usize;
-                let a = scratch.att[row];
-                let dst_row = &mut scratch.agg[d * out_dim..(d + 1) * out_dim];
-                for (x, &m) in
-                    dst_row.iter_mut().zip(&scratch.msgs[row * out_dim..(row + 1) * out_dim])
-                {
-                    *x += m * a;
-                }
-            }
-            for &si in &group.segments {
-                let r = batch.segment(si as usize);
-                kernels::add_assign(
-                    &mut out[r.start * out_dim..r.end * out_dim],
-                    &scratch.agg[r.start * out_dim..r.end * out_dim],
-                );
-            }
-        }
-
-        for x in out.iter_mut() {
-            *x = x.max(0.0);
+    /// Slice views of the layer's weights in `params`.
+    fn weights<'p>(&self, params: &'p ParamStore) -> LayerWeights<'p> {
+        let data = |id: ParamId| params.get(id).data();
+        LayerWeights {
+            in_dim: self.cfg.in_dim,
+            out_dim: self.cfg.out_dim,
+            attn_dim: self.cfg.attn_dim,
+            w_self: data(self.w_self),
+            bias: data(self.bias),
+            attn_embed: data(self.attn_embed),
+            w_attn: data(self.w_attn),
+            rel: match &self.rel_weights {
+                RelWeights::Full(all) => rgcn::RelWeights::Full(data(*all)),
+                RelWeights::Bases { coeffs, bases } => rgcn::RelWeights::Bases {
+                    coeffs: data(*coeffs),
+                    bases: data(*bases),
+                    num_bases: params.get(*coeffs).shape().as_matrix().1,
+                },
+            },
         }
     }
 
     /// Fetches (or composes, for bases) the `[in, out]` weight of `rel`
     /// from mounted handles.
     fn relation_weight(&self, g: &mut Graph, mounted: &MountedRgcnLayer, rel: usize) -> Var {
-        match &mounted.rel_weights {
-            MountedRelWeights::Full(all) => {
+        match mounted.vars.rel {
+            RelWeightVars::Full(all) => {
                 let rows: Vec<usize> =
                     (rel * self.cfg.in_dim..(rel + 1) * self.cfg.in_dim).collect();
-                g.gather_rows(*all, &rows)
+                g.gather_rows(all, &rows)
             }
-            MountedRelWeights::Bases { coeffs, bases } => {
-                let c_r = g.gather_rows(*coeffs, &[rel]); // [1, B]
-                let flat = g.matmul(c_r, *bases); // [1, in*out]
+            RelWeightVars::Bases { coeffs, bases } => {
+                let c_r = g.gather_rows(coeffs, &[rel]); // [1, B]
+                let flat = g.matmul(c_r, bases); // [1, in*out]
                 g.reshape(flat, [self.cfg.in_dim, self.cfg.out_dim])
             }
         }
@@ -397,32 +365,7 @@ impl RgcnLayer {
 /// [`RgcnLayer::mount`].
 #[derive(Debug, Clone, Copy)]
 pub struct MountedRgcnLayer {
-    w_self: Var,
-    bias: Var,
-    attn_embed: Var,
-    w_attn: Var,
-    rel_weights: MountedRelWeights,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum MountedRelWeights {
-    Full(Var),
-    Bases { coeffs: Var, bases: Var },
-}
-
-/// Reusable buffers for [`RgcnLayer::forward_inference_batched`]: every
-/// per-relation intermediate (gathered sources, attention input,
-/// messages, logits, the scatter target, and the composed basis
-/// weight). Buffers grow to the high-water mark and are then reused —
-/// zero allocations in the steady state.
-#[derive(Debug, Default, Clone)]
-pub struct BatchedLayerScratch {
-    h_src: Vec<f32>,
-    att_in: Vec<f32>,
-    msgs: Vec<f32>,
-    att: Vec<f32>,
-    agg: Vec<f32>,
-    w_r: Vec<f32>,
+    vars: RgcnLayerVars,
 }
 
 #[cfg(test)]

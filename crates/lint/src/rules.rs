@@ -32,6 +32,7 @@ pub const PRINT_EXEMPT_CRATES: &[&str] = &["cli", "bench"];
 pub const KERNEL_MODULES: &[&str] = &[
     "crates/tensor/src/kernels.rs",
     "crates/tensor/src/interp.rs",
+    "crates/tensor/src/rgcn.rs",
     "crates/gnn/src/rgcn.rs",
     "crates/gnn/src/encoder.rs",
     "crates/gnn/src/labeling.rs",

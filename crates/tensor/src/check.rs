@@ -46,7 +46,7 @@
 
 use crate::params::ParamStore;
 use crate::shape::Shape;
-use crate::tape::{Graph, Op, Var, PAD};
+use crate::tape::{Graph, Op, RelWeightVars, RgcnLayerOp, Var, PAD};
 use std::fmt;
 
 /// How serious a [`Diagnostic`] is.
@@ -246,6 +246,7 @@ pub const ALL_OPS: &[&str] = &[
     "StackScalars",
     "ScatterAddRows",
     "BroadcastRow",
+    "RgcnLayer",
 ];
 
 /// Position of `op`'s mnemonic in [`ALL_OPS`].
@@ -289,6 +290,7 @@ pub(crate) fn op_ordinal(op: &Op) -> usize {
         Op::StackScalars(..) => 31,
         Op::ScatterAddRows { .. } => 32,
         Op::BroadcastRow(..) => 33,
+        Op::RgcnLayer(..) => 34,
     }
 }
 
@@ -335,6 +337,19 @@ pub(crate) fn for_each_input(op: &Op, mut f: impl FnMut(Var)) {
             }
         }
         Op::ScatterAddRows { src, .. } => f(*src),
+        Op::RgcnLayer(l) => {
+            let v = &l.vars;
+            for u in [l.h, v.w_self, v.bias, v.attn_embed, v.w_attn] {
+                f(u);
+            }
+            match v.rel {
+                RelWeightVars::Full(w) => f(w),
+                RelWeightVars::Bases { coeffs, bases } => {
+                    f(coeffs);
+                    f(bases);
+                }
+            }
+        }
     }
 }
 
@@ -578,7 +593,78 @@ pub(crate) fn infer_shape_with<'s>(
             }
             Ok(Shape::new(vec![*rows, s.dim(0)]))
         }
+        Op::RgcnLayer(l) => infer_rgcn_layer(l, sh),
     }
+}
+
+/// Shape rule of the fused R-GCN layer: `h [n, in]`, `w_self [in, out]`,
+/// `bias [out]`, `attn_embed [R, attn]`, `w_attn [2·in + attn, 1]`, and
+/// `w_rel [R·in, out]` or `coeffs [R, B]` + `bases [B, in·out]`; every
+/// group's relation below `R`, every edge endpoint below `n`, one saved
+/// attention per edge. Output `[n, out]`.
+fn infer_rgcn_layer<'s>(
+    l: &RgcnLayerOp,
+    sh: &impl Fn(Var) -> &'s Shape,
+) -> Result<Shape, ShapeError> {
+    const OP: &str = "rgcn_layer";
+    let require = |ok: bool, kind: ShapeErrorKind, msg: &dyn Fn() -> String| {
+        if ok {
+            Ok(())
+        } else {
+            Err(ShapeError::new(OP, kind, msg()))
+        }
+    };
+    let v = &l.vars;
+    let (n, in_dim) = as_matrix(OP, sh(l.h))?;
+    let (w_in, out) = as_matrix(OP, sh(v.w_self))?;
+    let (num_rel, attn) = as_matrix(OP, sh(v.attn_embed))?;
+    let mismatch = ShapeErrorKind::Mismatch;
+    require(w_in == in_dim, mismatch, &|| {
+        format!("w_self {} for input {}", sh(v.w_self), sh(l.h))
+    })?;
+    let bias = sh(v.bias);
+    require(bias.rank() == 1 && bias.dim(0) == out, mismatch, &|| {
+        format!("bias {bias} for {out} outputs")
+    })?;
+    let w_attn = sh(v.w_attn);
+    require(as_matrix(OP, w_attn)? == (2 * in_dim + attn, 1), mismatch, &|| {
+        format!("w_attn {w_attn} for input width {in_dim} and attention width {attn}")
+    })?;
+    match v.rel {
+        RelWeightVars::Full(w) => {
+            require(as_matrix(OP, sh(w))? == (num_rel * in_dim, out), mismatch, &|| {
+                format!("relation stack {} for {num_rel} relations of [{in_dim}, {out}]", sh(w))
+            })?;
+        }
+        RelWeightVars::Bases { coeffs, bases } => {
+            let (c_rel, num_bases) = as_matrix(OP, sh(coeffs))?;
+            require(
+                c_rel == num_rel && as_matrix(OP, sh(bases))? == (num_bases, in_dim * out),
+                mismatch,
+                &|| format!("bases {} / {} for {num_rel} relations", sh(coeffs), sh(bases)),
+            )?;
+        }
+    }
+    let edges = &l.edges;
+    require(edges.num_nodes() == n, mismatch, &|| {
+        format!("edge structure has {} nodes, input has {n} rows", edges.num_nodes())
+    })?;
+    for g in edges.groups() {
+        require(g.rel < num_rel, ShapeErrorKind::OutOfBounds, &|| {
+            format!("relation {} out of bounds for {num_rel} relations", g.rel)
+        })?;
+        if let Some(&i) = g.srcs.iter().chain(&g.dsts).find(|&&i| i as usize >= n) {
+            return Err(ShapeError::new(
+                OP,
+                ShapeErrorKind::OutOfBounds,
+                format!("edge endpoint {i} out of bounds for {n} nodes"),
+            ));
+        }
+    }
+    require(l.att.len() == edges.num_edges(), ShapeErrorKind::Arity, &|| {
+        format!("{} saved attentions for {} edges", l.att.len(), edges.num_edges())
+    })?;
+    Ok(Shape::new(vec![n, out]))
 }
 
 /// Renders node provenance for a [`ShapeError`]: the op ordinal and

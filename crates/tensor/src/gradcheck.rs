@@ -664,7 +664,60 @@ fn registry_impl() -> Vec<OpCheck> {
                 )
             },
         },
+        OpCheck { op: "RgcnLayer", run: rgcn_layer_check },
     ]
+}
+
+/// The fused R-GCN layer, full and basis-decomposed, sharing one input
+/// `h` that is itself a parameter (so the input gradient is checked
+/// too). Relation groups cover repeated destinations, a self-loop and a
+/// node with no incoming edge. Biases of magnitude ≥ 3 against small
+/// weights keep every pre-activation clear of the relu kink.
+fn rgcn_layer_check(rng: &mut ChaCha8Rng) -> Result<(), String> {
+    use crate::rgcn::{EdgeGroup, LayerEdges};
+    use crate::tape::{RelWeightVars, RgcnLayerVars};
+    let (n, in_dim, out, attn, num_rel, num_bases) = (4, 2, 2, 2, 3, 2);
+    let edges = std::sync::Arc::new(LayerEdges::new(
+        n,
+        vec![
+            EdgeGroup { rel: 0, srcs: vec![0, 2, 3], dsts: vec![1, 1, 0] },
+            EdgeGroup { rel: 2, srcs: vec![1, 1], dsts: vec![3, 1] },
+        ],
+    ));
+    let inputs: Vec<FdInput> = vec![
+        ("h", vec![n, in_dim], uniform(rng, n * in_dim, -1.0, 1.0)),
+        ("w_self", vec![in_dim, out], uniform(rng, in_dim * out, -0.2, 0.2)),
+        ("bias", vec![out], away_from_zero(rng, out, 3.0, 4.0)),
+        ("attn_embed", vec![num_rel, attn], uniform(rng, num_rel * attn, -1.0, 1.0)),
+        ("w_attn", vec![2 * in_dim + attn, 1], uniform(rng, 2 * in_dim + attn, -1.0, 1.0)),
+        ("w_rel", vec![num_rel * in_dim, out], uniform(rng, num_rel * in_dim * out, -0.2, 0.2)),
+        ("coeffs", vec![num_rel, num_bases], uniform(rng, num_rel * num_bases, -0.4, 0.4)),
+        ("bases", vec![num_bases, in_dim * out], uniform(rng, num_bases * in_dim * out, -0.4, 0.4)),
+    ];
+    let wseed = rng.gen::<u64>();
+    check_fn(
+        &inputs,
+        &move |g, ps| {
+            // Mount every input, in `inputs` order.
+            let v: Vec<Var> = ps.iter().map(|(id, _, _)| g.param(ps, id)).collect();
+            let (h, w_rel, coeffs, bases) = (v[0], v[5], v[6], v[7]);
+            let full = RgcnLayerVars {
+                w_self: v[1],
+                bias: v[2],
+                attn_embed: v[3],
+                w_attn: v[4],
+                rel: RelWeightVars::Full(w_rel),
+            };
+            let based = RgcnLayerVars { rel: RelWeightVars::Bases { coeffs, bases }, ..full };
+            let y1 = g.rgcn_layer(h, full, &edges);
+            let y2 = g.rgcn_layer(h, based, &edges);
+            let mut wrng = ChaCha8Rng::seed_from_u64(wseed);
+            let l1 = weighted(g, y1, &mut wrng);
+            let l2 = weighted(g, y2, &mut wrng);
+            g.add(l1, l2)
+        },
+        &FdConfig::default(),
+    )
 }
 
 /// The gradcheck registry: one [`OpCheck`] per `Op` variant.

@@ -35,7 +35,7 @@
 
 use crate::check::{op_mnemonic, Diagnostic};
 use crate::params::{ParamId, ParamStore};
-use crate::tape::{Graph, Op, Var, PAD};
+use crate::tape::{Graph, Op, RelWeightVars, RgcnLayerOp, Var, PAD};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Per-op error budgets for [`Graph::diff_check_with`].
@@ -101,7 +101,8 @@ fn budget_class(op: &Op) -> BudgetClass {
         | Op::SumAxis0(_)
         | Op::SumAxis1(_)
         | Op::MeanAxis0(_)
-        | Op::ScatterAddRows { .. } => BudgetClass::Accum,
+        | Op::ScatterAddRows { .. }
+        | Op::RgcnLayer(_) => BudgetClass::Accum,
         _ => BudgetClass::Exact,
     }
 }
@@ -469,6 +470,7 @@ impl Graph {
                 }
                 RefValue::exact(data)
             }
+            Op::RgcnLayer(l) => self.ref_rgcn_forward(l),
         }
     }
 
@@ -741,7 +743,295 @@ impl Graph {
                 }
                 accum(grads, *a, da);
             }
+            Op::RgcnLayer(l) => {
+                for (input, delta) in self.ref_rgcn_backward(v, l, grad) {
+                    accum(grads, input, delta);
+                }
+            }
         }
+    }
+}
+
+/// `f64` copies of one fused R-GCN layer's inputs.
+struct RefLayer {
+    n: usize,
+    in_dim: usize,
+    out: usize,
+    attn: usize,
+    h: Vec<f64>,
+    w_self: Vec<f64>,
+    bias: Vec<f64>,
+    attn_embed: Vec<f64>,
+    w_attn: Vec<f64>,
+    /// Full stack, or `(coeffs, bases, B)`.
+    rel: RefRel,
+}
+
+enum RefRel {
+    Full(Vec<f64>),
+    Bases(Vec<f64>, Vec<f64>, usize),
+}
+
+impl RefLayer {
+    /// `W_r` as `[in, out]` plus its per-element `Σ|term|` bound (the
+    /// basis combination is itself a reduction; a zero coefficient
+    /// contributes nothing, as in the matmul kernel).
+    fn relation(&self, rel: usize) -> (Vec<f64>, Vec<f64>) {
+        let block = self.in_dim * self.out;
+        match &self.rel {
+            RefRel::Full(w) => {
+                let w = w[rel * block..(rel + 1) * block].to_vec();
+                let mag = w.iter().map(|x| x.abs()).collect();
+                (w, mag)
+            }
+            RefRel::Bases(c, b, nb) => {
+                let mut w = vec![0.0; block];
+                let mut mag = vec![0.0; block];
+                for k in 0..*nb {
+                    let ck = c[rel * nb + k];
+                    if ck == 0.0 {
+                        continue;
+                    }
+                    for (j, (x, m)) in w.iter_mut().zip(&mut mag).enumerate() {
+                        let t = ck * b[k * block + j];
+                        *x += t;
+                        *m += t.abs();
+                    }
+                }
+                (w, mag)
+            }
+        }
+    }
+
+    /// Attention input row `[h_s ⊕ h_d ⊕ q_r]`.
+    fn cat(&self, s: usize, d: usize, rel: usize) -> Vec<f64> {
+        let i = self.in_dim;
+        let mut row = self.h[s * i..(s + 1) * i].to_vec();
+        row.extend_from_slice(&self.h[d * i..(d + 1) * i]);
+        row.extend_from_slice(&self.attn_embed[rel * self.attn..(rel + 1) * self.attn]);
+        row
+    }
+
+    /// `h_s · W_r` (zero `h` entries skipped) and its `Σ|term|` bound.
+    fn message(&self, s: usize, w_r: &[f64], w_mag: &[f64]) -> (Vec<f64>, Vec<f64>) {
+        let mut msg = vec![0.0; self.out];
+        let mut mag = vec![0.0; self.out];
+        for k in 0..self.in_dim {
+            let x = self.h[s * self.in_dim + k];
+            if x == 0.0 {
+                continue;
+            }
+            for j in 0..self.out {
+                msg[j] += x * w_r[k * self.out + j];
+                mag[j] += x.abs() * w_mag[k * self.out + j];
+            }
+        }
+        (msg, mag)
+    }
+}
+
+impl Graph {
+    fn ref_layer(&self, l: &RgcnLayerOp) -> RefLayer {
+        let val = |x: Var| -> Vec<f64> {
+            self.node_value(x).data().iter().map(|&q| f64::from(q)).collect()
+        };
+        let mat = |x: Var| self.node_value(x).shape().as_matrix();
+        let v = &l.vars;
+        let (n, in_dim) = mat(l.h);
+        RefLayer {
+            n,
+            in_dim,
+            out: mat(v.w_self).1,
+            attn: mat(v.attn_embed).1,
+            h: val(l.h),
+            w_self: val(v.w_self),
+            bias: val(v.bias),
+            attn_embed: val(v.attn_embed),
+            w_attn: val(v.w_attn),
+            rel: match v.rel {
+                RelWeightVars::Full(w) => RefRel::Full(val(w)),
+                RelWeightVars::Bases { coeffs, bases } => {
+                    RefRel::Bases(val(coeffs), val(bases), mat(coeffs).1)
+                }
+            },
+        }
+    }
+
+    /// Textbook `f64` layer forward. The rounding bound per output
+    /// element sums `|term|` over the self term, the bias and every
+    /// incoming message — each message weighted by its attention, plus
+    /// the message magnitude times the attention's own error scale (a
+    /// logit reduction through a sigmoid of slope ≤ 1/4).
+    fn ref_rgcn_forward(&self, l: &RgcnLayerOp) -> RefValue {
+        let r = self.ref_layer(l);
+        let (n, in_dim, out) = (r.n, r.in_dim, r.out);
+        let mut pre = vec![0.0; n * out];
+        let mut mag = vec![0.0; n * out];
+        for i in 0..n {
+            for j in 0..out {
+                for k in 0..in_dim {
+                    let x = r.h[i * in_dim + k];
+                    if x == 0.0 {
+                        continue;
+                    }
+                    let t = x * r.w_self[k * out + j];
+                    pre[i * out + j] += t;
+                    mag[i * out + j] += t.abs();
+                }
+                pre[i * out + j] += r.bias[j];
+                mag[i * out + j] += r.bias[j].abs();
+            }
+        }
+        let mut indeg = vec![0usize; n];
+        for g in l.edges.groups() {
+            let (w_r, w_mag) = r.relation(g.rel);
+            for (&s, &d) in g.srcs.iter().zip(&g.dsts) {
+                let (s, d) = (s as usize, d as usize);
+                indeg[d] += 1;
+                let cat = r.cat(s, d, g.rel);
+                let (mut logit, mut lmag) = (0.0, 0.0);
+                for (x, w) in cat.iter().zip(&r.w_attn) {
+                    if *x != 0.0 {
+                        logit += x * w;
+                        lmag += (x * w).abs();
+                    }
+                }
+                let att = 1.0 / (1.0 + (-logit).exp());
+                let (msg, msg_mag) = r.message(s, &w_r, &w_mag);
+                for j in 0..out {
+                    pre[d * out + j] += att * msg[j];
+                    mag[d * out + j] += att * msg_mag[j] + msg[j].abs() * (0.25 * lmag + att);
+                }
+            }
+        }
+        let width = 2 * in_dim + r.attn;
+        let nb = match r.rel {
+            RefRel::Full(_) => 0,
+            RefRel::Bases(_, _, nb) => nb,
+        };
+        let terms = in_dim + 1 + indeg.iter().max().map_or(0, |&m| m * (in_dim + width + nb + 1));
+        let data = pre.iter().map(|x| x.max(0.0)).collect();
+        RefValue { data, accum: Some((mag, terms)) }
+    }
+
+    /// Textbook `f64` layer backward, from the recorded output (the
+    /// relu mask) and the recorded per-edge attention — as the other
+    /// rules read recorded forward values. Returns one gradient per
+    /// input, in input order.
+    fn ref_rgcn_backward(&self, v: Var, l: &RgcnLayerOp, grad: &[f64]) -> Vec<(Var, Vec<f64>)> {
+        let r = self.ref_layer(l);
+        let (n, in_dim, out, attn) = (r.n, r.in_dim, r.out, r.attn);
+        let y = self.node_value(v).data();
+        let dpre: Vec<f64> =
+            grad.iter().zip(y).map(|(&g, &y)| if y > 0.0 { g } else { 0.0 }).collect();
+        let mut dh = vec![0.0; n * in_dim];
+        let mut d_w_self = vec![0.0; in_dim * out];
+        let mut d_bias = vec![0.0; out];
+        for i in 0..n {
+            for j in 0..out {
+                let g = dpre[i * out + j];
+                d_bias[j] += g;
+                for k in 0..in_dim {
+                    let x = r.h[i * in_dim + k];
+                    dh[i * in_dim + k] += g * r.w_self[k * out + j];
+                    if x != 0.0 {
+                        d_w_self[k * out + j] += x * g;
+                    }
+                }
+            }
+        }
+        let width = 2 * in_dim + attn;
+        let block = in_dim * out;
+        let mut d_attn_embed = vec![0.0; r.attn_embed.len()];
+        let mut d_w_attn = vec![0.0; width];
+        let mut d_rel = match &r.rel {
+            RefRel::Full(w) => vec![0.0; w.len()],
+            RefRel::Bases(c, _, _) => vec![0.0; c.len()],
+        };
+        let mut d_bases = match &r.rel {
+            RefRel::Full(_) => Vec::new(),
+            RefRel::Bases(_, b, _) => vec![0.0; b.len()],
+        };
+        let mut e_off = 0;
+        for g in l.edges.groups() {
+            let (w_r, w_mag) = r.relation(g.rel);
+            let mut d_w_r = vec![0.0; block];
+            for (e, (&s, &d)) in g.srcs.iter().zip(&g.dsts).enumerate() {
+                let (s, d) = (s as usize, d as usize);
+                let a = f64::from(l.att[e_off + e]);
+                let (msg, _) = r.message(s, &w_r, &w_mag);
+                let dw = &dpre[d * out..(d + 1) * out];
+                let d_msg: Vec<f64> = dw.iter().map(|g| g * a).collect();
+                let d_att: f64 = dw.iter().zip(&msg).map(|(g, m)| g * m).sum();
+                let d_logit = d_att * a * (1.0 - a);
+                let cat = r.cat(s, d, g.rel);
+                for (k, (&x, &w)) in cat.iter().zip(&r.w_attn).enumerate() {
+                    let dc = d_logit * w;
+                    if k < in_dim {
+                        dh[s * in_dim + k] += dc;
+                    } else if k < 2 * in_dim {
+                        dh[d * in_dim + k - in_dim] += dc;
+                    } else {
+                        d_attn_embed[g.rel * attn + k - 2 * in_dim] += dc;
+                    }
+                    if x != 0.0 {
+                        d_w_attn[k] += x * d_logit;
+                    }
+                }
+                for k in 0..in_dim {
+                    let x = r.h[s * in_dim + k];
+                    for j in 0..out {
+                        dh[s * in_dim + k] += d_msg[j] * w_r[k * out + j];
+                        if x != 0.0 {
+                            d_w_r[k * out + j] += x * d_msg[j];
+                        }
+                    }
+                }
+            }
+            e_off += g.srcs.len();
+            match &r.rel {
+                RefRel::Full(_) => {
+                    for (x, dw) in d_rel[g.rel * block..(g.rel + 1) * block].iter_mut().zip(&d_w_r)
+                    {
+                        *x += dw;
+                    }
+                }
+                RefRel::Bases(c, b, nb) => {
+                    for k in 0..*nb {
+                        let dot: f64 = d_w_r
+                            .iter()
+                            .zip(&b[k * block..(k + 1) * block])
+                            .map(|(x, y)| x * y)
+                            .sum();
+                        d_rel[g.rel * nb + k] += dot;
+                        let ck = c[g.rel * nb + k];
+                        if ck != 0.0 {
+                            for (x, dw) in
+                                d_bases[k * block..(k + 1) * block].iter_mut().zip(&d_w_r)
+                            {
+                                *x += ck * dw;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        let vars = &l.vars;
+        let mut out_grads = vec![
+            (l.h, dh),
+            (vars.w_self, d_w_self),
+            (vars.bias, d_bias),
+            (vars.attn_embed, d_attn_embed),
+            (vars.w_attn, d_w_attn),
+        ];
+        match vars.rel {
+            RelWeightVars::Full(w) => out_grads.push((w, d_rel)),
+            RelWeightVars::Bases { coeffs, bases } => {
+                out_grads.push((coeffs, d_rel));
+                out_grads.push((bases, d_bases));
+            }
+        }
+        out_grads
     }
 }
 

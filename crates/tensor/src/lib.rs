@@ -47,6 +47,7 @@ pub mod kernels;
 pub mod optim;
 pub mod params;
 pub mod prof;
+pub mod rgcn;
 pub mod serialize;
 pub mod shape;
 pub mod tape;
@@ -58,6 +59,6 @@ pub use interp::DiffBudget;
 pub use params::{GradStore, ParamId, ParamStore};
 pub use prof::{OpProfile, ProfSnapshot, TapeProfile};
 pub use shape::Shape;
-pub use tape::{Graph, Var};
+pub use tape::{Graph, RelWeightVars, RgcnLayerVars, Var};
 pub use tapecheck::{MemoryPlan, TapeCache, TapeReport};
 pub use tensor::Tensor;

@@ -37,7 +37,7 @@
 use crate::check::ALL_OPS;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Number of distinct op kernels ([`ALL_OPS`] is the authority).
@@ -140,6 +140,26 @@ pub(crate) fn record_forward(ordinal: usize, bytes: u64, elapsed: Duration) {
 /// Folds one backward step through op `ordinal` into the table.
 pub(crate) fn record_backward(ordinal: usize, bytes: u64, elapsed: Duration) {
     tables().backward[ordinal].fold(elapsed.as_secs_f64(), bytes);
+}
+
+/// Opens a named scope in a higher layer's tracer and returns its guard;
+/// dropping the guard closes the scope. This crate has no tracer of its
+/// own, so the layer that owns one installs the hook (the GNN crate
+/// installs `dekg-obs` spans) and kernels with a named phase of their
+/// own — the fused R-GCN layer's backward — open scopes through it.
+pub type ScopeHook = fn(&'static str) -> Box<dyn std::any::Any>;
+
+static SCOPE_HOOK: OnceLock<ScopeHook> = OnceLock::new();
+
+/// Installs the process-wide [`ScopeHook`]. The first installation wins;
+/// later calls are ignored.
+pub fn set_scope_hook(hook: ScopeHook) {
+    let _ = SCOPE_HOOK.set(hook);
+}
+
+/// Opens scope `name` through the installed hook (none installed: no-op).
+pub(crate) fn scope(name: &'static str) -> Option<Box<dyn std::any::Any>> {
+    SCOPE_HOOK.get().map(|hook| hook(name))
 }
 
 /// Folds one whole-tape execution (record + backward) under its
@@ -315,6 +335,25 @@ mod tests {
         assert_eq!(leaf.backward_calls, 1);
         assert!(snap.attributed_seconds() >= 0.0);
         assert!(snap.total_calls() >= 6);
+    }
+
+    #[test]
+    fn gathers_bill_only_the_elements_they_read() {
+        // A one-row gather from a [100, 4] table reads 4 elements, not
+        // 400: 4 read + 4 written = 32 bytes. A 3-offset flat gather
+        // reads 3 elements and writes 3 = 24 bytes.
+        let _guard = lock();
+        reset();
+        set_enabled(true);
+        let mut g = Graph::new();
+        let table = g.constant(Tensor::ones([100, 4]));
+        let _ = g.gather_rows(table, &[7]);
+        let _ = g.gather_flat(table, &[0, 5, crate::tape::PAD], [3]);
+        set_enabled(false);
+        let snap = snapshot();
+        let bytes = |name: &str| snap.ops.iter().find(|o| o.op == name).map(|o| o.forward_bytes);
+        assert_eq!(bytes("GatherRows"), Some(32));
+        assert_eq!(bytes("GatherFlat"), Some(24));
     }
 
     #[test]

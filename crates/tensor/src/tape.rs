@@ -16,9 +16,12 @@
 use crate::kernels;
 use crate::params::{GradStore, ParamId, ParamStore};
 use crate::prof;
+use crate::rgcn::{self, LayerEdges, LayerGrads, LayerScratch, LayerWeights, RelWeights};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 use rand::Rng;
+use std::cell::RefCell;
+use std::sync::Arc;
 
 /// Handle to a node in a [`Graph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -29,6 +32,53 @@ impl Var {
     pub fn index(self) -> usize {
         self.0
     }
+}
+
+/// Tape handles of one R-GCN layer's parameters: the weight inputs of
+/// [`Graph::rgcn_layer`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RgcnLayerVars {
+    /// `[in, out]` self-loop weight.
+    pub w_self: Var,
+    /// `[out]` bias.
+    pub bias: Var,
+    /// `[R, attn]` per-relation attention embeddings.
+    pub attn_embed: Var,
+    /// `[2 · in + attn, 1]` attention weight.
+    pub w_attn: Var,
+    /// Per-relation message weights.
+    pub rel: RelWeightVars,
+}
+
+/// Per-relation message weights of an [`RgcnLayerVars`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RelWeightVars {
+    /// The full `[R · in, out]` stack.
+    Full(Var),
+    /// Basis decomposition: `[R, B]` coefficients, `[B, in · out]` bases.
+    Bases {
+        /// `[R, B]`.
+        coeffs: Var,
+        /// `[B, in · out]`.
+        bases: Var,
+    },
+}
+
+/// Payload of the fused R-GCN layer op: its inputs, the subgraph's
+/// relation groups, and the per-edge attention the forward saved for
+/// backward (in group order).
+#[derive(Debug)]
+pub(crate) struct RgcnLayerOp {
+    pub h: Var,
+    pub vars: RgcnLayerVars,
+    pub edges: Arc<LayerEdges>,
+    pub att: Vec<f32>,
+}
+
+thread_local! {
+    /// Forward and backward scratch of the fused R-GCN layer op, reused
+    /// across calls on this thread.
+    static LAYER_SCRATCH: RefCell<(LayerScratch, LayerGrads)> = RefCell::default();
 }
 
 /// Sentinel index for [`Graph::gather_flat`]: positions carrying it read
@@ -92,6 +142,8 @@ pub(crate) enum Op {
     },
     /// Repeat a rank-1 `[d]` input as `rows` identical rows: `[rows, d]`.
     BroadcastRow(Var, usize),
+    /// One R-GCN layer over one subgraph (see [`crate::rgcn`]).
+    RgcnLayer(Box<RgcnLayerOp>),
 }
 
 struct Node {
@@ -142,19 +194,58 @@ impl Graph {
 
     /// [`push`](Self::push) plus per-op profiling: when `t` is armed
     /// (see [`crate::prof::set_enabled`]), folds the op's elapsed wall
-    /// time and the bytes it moved — every input read plus the output
-    /// written, 4 bytes per f32 — into the global profile tables. The
-    /// timer is armed by the op constructor *before* it computes the
-    /// forward value, so the elapsed time covers the kernel itself.
+    /// time and the bytes it moved — the input elements it reads (see
+    /// [`Graph::elements_read`]) plus the output written, 4 bytes per
+    /// f32 — into the global profile tables. The timer is armed by the
+    /// op constructor *before* it computes the forward value, so the
+    /// elapsed time covers the kernel itself.
     fn push_prof(&mut self, op: Op, value: Tensor, needs_grad: bool, t: prof::ProfTimer) -> Var {
         if let Some(elapsed) = t.finish() {
-            let mut bytes = value.numel() as u64 * 4;
-            crate::check::for_each_input(&op, |v| {
-                bytes += self.nodes[v.0].value.numel() as u64 * 4;
-            });
+            let bytes = (value.numel() + self.elements_read(&op)) as u64 * 4;
             prof::record_forward(crate::check::op_ordinal(&op), bytes, elapsed);
         }
         self.push(op, value, needs_grad)
+    }
+
+    /// Input elements `op` reads to compute its value. Whole inputs for
+    /// most ops; gathers read only the rows (offsets) they select, and
+    /// the fused R-GCN layer reads only the relation rows its groups
+    /// use — a one-relation gather from a `[R · in, out]` stack moves
+    /// `in · out` elements, not the stack.
+    fn elements_read(&self, op: &Op) -> usize {
+        let numel = |v: Var| self.nodes[v.0].value.numel();
+        match op {
+            Op::GatherRows(a, idx) => idx.len() * self.nodes[a.0].value.shape().as_matrix().1,
+            Op::GatherFlat(_, idx) => idx.len(),
+            Op::RgcnLayer(l) => {
+                let v = &l.vars;
+                let per_rel = match v.rel {
+                    RelWeightVars::Full(_) => self.nodes[v.w_self.0].value.numel(),
+                    RelWeightVars::Bases { coeffs, .. } => {
+                        self.nodes[coeffs.0].value.shape().as_matrix().1
+                    }
+                };
+                let bases = match v.rel {
+                    RelWeightVars::Bases { bases, .. } if !l.edges.groups().is_empty() => {
+                        numel(bases)
+                    }
+                    _ => 0,
+                };
+                let attn = self.nodes[v.attn_embed.0].value.shape().as_matrix().1;
+                let groups = l.edges.groups().len();
+                numel(l.h)
+                    + numel(v.w_self)
+                    + numel(v.bias)
+                    + numel(v.w_attn)
+                    + groups * (per_rel + attn)
+                    + bases
+            }
+            _ => {
+                let mut n = 0;
+                crate::check::for_each_input(op, |v| n += numel(v));
+                n
+            }
+        }
     }
 
     fn needs(&self, v: Var) -> bool {
@@ -609,6 +700,71 @@ impl Graph {
         self.push_prof(op, Tensor::from_vec(shape, data), ng, t)
     }
 
+    /// Records one R-GCN layer over one subgraph as a single node: the
+    /// fused form of the per-relation gather / matmul / attention /
+    /// scatter recording (see [`crate::rgcn`] for the kernel and its
+    /// bitwise argument). `h` is the `[n, in]` input, `edges` the
+    /// subgraph's kept edges grouped by relation; the output is
+    /// `[n, out]`. The per-edge attention is kept for backward.
+    ///
+    /// # Panics
+    /// On inconsistent shapes or out-of-range node/relation indices
+    /// (the typed [`crate::ShapeError`] message).
+    pub fn rgcn_layer(&mut self, h: Var, vars: RgcnLayerVars, edges: &Arc<LayerEdges>) -> Var {
+        let t = prof::start();
+        let att = vec![0.0; edges.num_edges()];
+        let op = Op::RgcnLayer(Box::new(RgcnLayerOp { h, vars, edges: Arc::clone(edges), att }));
+        let shape = self.expect_shape(&op, None);
+        let Op::RgcnLayer(mut layer) = op else { unreachable!("constructed above") };
+        let n = edges.num_nodes();
+        let mut out = Vec::new();
+        LAYER_SCRATCH.with(|s| {
+            let scratch = &mut s.borrow_mut().0;
+            let w = self.layer_weights(&vars, self.shape(h).as_matrix().1);
+            layer.att.clear();
+            rgcn::layer_forward(
+                &w,
+                &**edges,
+                n,
+                self.value(h).data(),
+                None,
+                &mut out,
+                scratch,
+                Some(&mut layer.att),
+            );
+        });
+        let mut ng = self.needs(h) || self.needs(vars.w_self) || self.needs(vars.bias);
+        ng |= self.needs(vars.attn_embed) || self.needs(vars.w_attn);
+        ng |= match vars.rel {
+            RelWeightVars::Full(w) => self.needs(w),
+            RelWeightVars::Bases { coeffs, bases } => self.needs(coeffs) || self.needs(bases),
+        };
+        self.push_prof(Op::RgcnLayer(layer), Tensor::from_vec(shape, out), ng, t)
+    }
+
+    /// Slice views of an R-GCN layer's recorded weights (`in_dim` is the
+    /// input width).
+    pub(crate) fn layer_weights(&self, vars: &RgcnLayerVars, in_dim: usize) -> LayerWeights<'_> {
+        let val = |v: Var| &self.nodes[v.0].value;
+        LayerWeights {
+            in_dim,
+            out_dim: val(vars.w_self).shape().as_matrix().1,
+            attn_dim: val(vars.attn_embed).shape().as_matrix().1,
+            w_self: val(vars.w_self).data(),
+            bias: val(vars.bias).data(),
+            attn_embed: val(vars.attn_embed).data(),
+            w_attn: val(vars.w_attn).data(),
+            rel: match vars.rel {
+                RelWeightVars::Full(w) => RelWeights::Full(val(w).data()),
+                RelWeightVars::Bases { coeffs, bases } => RelWeights::Bases {
+                    coeffs: val(coeffs).data(),
+                    bases: val(bases).data(),
+                    num_bases: val(coeffs).shape().as_matrix().1,
+                },
+            },
+        }
+    }
+
     // ---- composites ----
 
     /// Row-wise squared L2 distance between `[m, d]` vars: `[m]`.
@@ -666,6 +822,8 @@ impl Graph {
         }
         let mut grads: Vec<Option<Tensor>> = (0..self.nodes.len()).map(|_| None).collect();
         grads[loss.0] = Some(Tensor::from_vec(self.nodes[loss.0].value.shape().clone(), vec![1.0]));
+        // Slots known to hold no -0.0 (see `take_clean_slot`).
+        let mut clean = vec![false; self.nodes.len()];
 
         let mut store = GradStore::new();
         for id in (0..=loss.0).rev() {
@@ -674,7 +832,7 @@ impl Graph {
             }
             let Some(grad) = grads[id].take() else { continue };
             let t = prof::start();
-            self.backprop_node(id, &grad, &mut grads, &mut store);
+            self.backprop_node(id, &grad, &mut grads, &mut clean, &mut store);
             if let Some(elapsed) = t.finish() {
                 prof::record_backward(
                     crate::check::op_ordinal(&self.nodes[id].op),
@@ -708,15 +866,138 @@ impl Graph {
         }
     }
 
+    /// Takes `v`'s gradient slot out for in-place sparse accumulation,
+    /// guaranteeing it holds no `-0.0`: an empty slot becomes zeros, a
+    /// slot not yet known clean gets `+0.0` added to every element (an
+    /// identity except `-0.0 → +0.0`). On such a slot adding `+0.0` is
+    /// an exact identity, so a consumer may skip the all-zero rows of
+    /// its contribution. The flag stays true once set: adding anything
+    /// to a value that is not `-0.0` never yields `-0.0`.
+    fn take_clean_slot(&self, grads: &mut [Option<Tensor>], clean: &mut [bool], v: Var) -> Tensor {
+        let t = match grads[v.0].take() {
+            None => Tensor::zeros(self.nodes[v.0].value.shape().clone()),
+            Some(mut t) => {
+                if !clean[v.0] {
+                    for x in t.data_mut() {
+                        *x += 0.0;
+                    }
+                }
+                t
+            }
+        };
+        clean[v.0] = true;
+        t
+    }
+
+    /// [`accum_owned`](Self::accum_owned) for a zero-started dense
+    /// contribution (which leaves the slot clean).
+    fn accum_clean(&self, grads: &mut [Option<Tensor>], clean: &mut [bool], v: Var, delta: &[f32]) {
+        if !self.needs(v) {
+            return;
+        }
+        match &mut grads[v.0] {
+            Some(g) => kernels::add_assign(g.data_mut(), delta),
+            slot @ None => {
+                *slot =
+                    Some(Tensor::from_vec(self.nodes[v.0].value.shape().clone(), delta.to_vec()));
+            }
+        }
+        clean[v.0] = true;
+    }
+
+    /// Adds row blocks `(element offset, values)` into `v`'s slot. The
+    /// unfused tape adds a zero tensor with these blocks filled in; the
+    /// skipped `+0.0` elements are identities on a clean slot.
+    fn accum_rows<'r>(
+        &self,
+        grads: &mut [Option<Tensor>],
+        clean: &mut [bool],
+        v: Var,
+        blocks: impl ExactSizeIterator<Item = (usize, &'r [f32])>,
+    ) {
+        if !self.needs(v) || blocks.len() == 0 {
+            return;
+        }
+        let mut t = self.take_clean_slot(grads, clean, v);
+        let data = t.data_mut();
+        for (off, block) in blocks {
+            kernels::add_assign(&mut data[off..off + block.len()], block);
+        }
+        grads[v.0] = Some(t);
+    }
+
+    /// Backward of the fused R-GCN layer: replays the unfused tape's
+    /// reverse sweep for the layer (see [`rgcn::layer_backward`]) and
+    /// hands every input the contribution the unfused leaves would have
+    /// received, in the same order.
+    fn backprop_rgcn_layer(
+        &self,
+        layer: &RgcnLayerOp,
+        y: &Tensor,
+        grad: &Tensor,
+        grads: &mut [Option<Tensor>],
+        clean: &mut [bool],
+    ) {
+        let _scope = prof::scope("rgcn_layer_backward");
+        let hv = &self.nodes[layer.h.0].value;
+        let vars = &layer.vars;
+        let w = self.layer_weights(vars, hv.shape().as_matrix().1);
+        let mut dh = self.needs(layer.h).then(|| self.take_clean_slot(grads, clean, layer.h));
+        LAYER_SCRATCH.with(|s| {
+            let out = &mut s.borrow_mut().1;
+            rgcn::layer_backward(
+                &w,
+                &layer.edges,
+                hv.data(),
+                &layer.att,
+                y.data(),
+                grad.data(),
+                dh.as_mut().map(Tensor::data_mut),
+                out,
+            );
+            if let Some(t) = dh {
+                grads[layer.h.0] = Some(t);
+            }
+            self.accum_clean(grads, clean, vars.w_self, &out.d_w_self);
+            self.accum_clean(grads, clean, vars.bias, &out.d_bias);
+            let groups = layer.edges.groups();
+            if groups.is_empty() {
+                return;
+            }
+            self.accum_clean(grads, clean, vars.w_attn, &out.d_w_attn);
+            let attn = w.attn_dim;
+            let attn_rows = groups.iter().zip(out.attn_rows.chunks_exact(attn));
+            let blocks = attn_rows.map(|(g, row)| (g.rel * attn, row));
+            self.accum_rows(grads, clean, vars.attn_embed, blocks);
+            match vars.rel {
+                RelWeightVars::Full(all) => {
+                    let block = w.in_dim * w.out_dim;
+                    let rows = groups.iter().zip(out.rel_rows.chunks_exact(block));
+                    self.accum_rows(grads, clean, all, rows.map(|(g, b)| (g.rel * block, b)));
+                }
+                RelWeightVars::Bases { coeffs, bases } => {
+                    self.accum_clean(grads, clean, bases, &out.d_bases);
+                    let nb = out.rel_rows.len() / groups.len();
+                    let rows = groups.iter().zip(out.rel_rows.chunks_exact(nb));
+                    self.accum_rows(grads, clean, coeffs, rows.map(|(g, r)| (g.rel * nb, r)));
+                }
+            }
+        });
+    }
+
     fn backprop_node(
         &self,
         id: usize,
         grad: &Tensor,
         grads: &mut [Option<Tensor>],
+        clean: &mut [bool],
         store: &mut GradStore,
     ) {
         let node = &self.nodes[id];
         match &node.op {
+            Op::RgcnLayer(layer) => {
+                self.backprop_rgcn_layer(layer, &node.value, grad, grads, clean);
+            }
             Op::Leaf(Some(pid)) => store.accumulate(*pid, grad),
             Op::Leaf(None) => {}
             Op::Add(a, b) => {

@@ -233,10 +233,20 @@ impl MemoryPlan {
     }
 }
 
+/// Elements an op keeps beside its value for its own backward — the
+/// fused R-GCN layer's per-edge attention. They live exactly as long as
+/// the node's value, so the plan sizes the node's buffer to hold both.
+fn saved_elements(op: &Op) -> usize {
+    match op {
+        Op::RgcnLayer(l) => l.att.len(),
+        _ => 0,
+    }
+}
+
 /// Computes per-node last uses and assigns values to reuse buffers.
 ///
 /// `shapes` are the (abstract) per-node shapes — sized in bytes at
-/// `BYTES_PER_ELEM` each — and `roots` are the outputs that must
+/// `BYTES_PER_ELEM` each, plus any saved backward buffers — and `roots` are the outputs that must
 /// survive to the end of the tape (the loss plus any declared
 /// observation nodes). The assignment walks the arena in recording
 /// order keeping an exact-size free list keyed by byte size: a freed
@@ -246,7 +256,11 @@ impl MemoryPlan {
 /// (kernels read their inputs while writing their output).
 pub fn memory_plan(g: &Graph, shapes: &[Shape], roots: &[Var]) -> MemoryPlan {
     let n = g.len();
-    let bytes: Vec<usize> = shapes.iter().map(|s| s.numel() * BYTES_PER_ELEM).collect();
+    let bytes: Vec<usize> = shapes
+        .iter()
+        .enumerate()
+        .map(|(id, s)| (s.numel() + saved_elements(g.node_op(Var(id)))) * BYTES_PER_ELEM)
+        .collect();
     let mut last_use: Vec<usize> = (0..n).collect();
     for id in 0..n {
         for_each_input(g.node_op(Var(id)), |u| last_use[u.index()] = id);
@@ -631,6 +645,31 @@ pub fn structure_key(g: &Graph, loss: Var, observed: &[Var], params: Option<&Par
                 }
             }
             Op::BroadcastRow(_, rows) => h.len(*rows),
+            Op::RgcnLayer(l) => {
+                // Group census (count and sizes), not which relations or
+                // rows: the analysis reads only bounds and sizes.
+                let edges = &l.edges;
+                h.len(edges.num_nodes());
+                h.len(edges.groups().len());
+                for grp in edges.groups() {
+                    h.len(grp.srcs.len());
+                }
+                h.len(l.att.len());
+                let num_rel = g.node_value(l.vars.attn_embed).shape();
+                let n = edges.num_nodes();
+                let oob = num_rel.rank() != 2
+                    || edges.groups().iter().any(|grp| {
+                        grp.rel >= num_rel.dim(0)
+                            || grp.srcs.iter().chain(&grp.dsts).any(|&i| i as usize >= n)
+                    });
+                h.byte(u8::from(oob));
+                if oob {
+                    for grp in edges.groups() {
+                        h.len(grp.rel);
+                        grp.srcs.iter().chain(&grp.dsts).for_each(|&i| h.len(i as usize));
+                    }
+                }
+            }
             _ => {}
         }
     }
@@ -872,6 +911,32 @@ pub fn registry() -> Vec<ShapeRule> {
             let mut g = Graph::new();
             let a = probe(&mut g, &[3]);
             g.broadcast_row(a, 4);
+            expect_clean(&g)
+        }),
+        rule("RgcnLayer", || {
+            use crate::rgcn::{EdgeGroup, LayerEdges};
+            use crate::tape::{RelWeightVars, RgcnLayerVars};
+            let edges = std::sync::Arc::new(LayerEdges::new(
+                3,
+                vec![
+                    EdgeGroup { rel: 0, srcs: vec![0, 2], dsts: vec![1, 1] },
+                    EdgeGroup { rel: 2, srcs: vec![1], dsts: vec![0] },
+                ],
+            ));
+            let mut g = Graph::new();
+            let h = probe(&mut g, &[3, 2]);
+            let w_self = probe(&mut g, &[2, 4]);
+            let bias = probe(&mut g, &[4]);
+            let attn_embed = probe(&mut g, &[3, 2]);
+            let w_attn = probe(&mut g, &[6, 1]);
+            let coeffs = probe(&mut g, &[3, 2]);
+            let bases = probe(&mut g, &[2, 8]);
+            let w_rel = probe(&mut g, &[6, 4]);
+            let full =
+                RgcnLayerVars { w_self, bias, attn_embed, w_attn, rel: RelWeightVars::Full(w_rel) };
+            g.rgcn_layer(h, full, &edges);
+            let based = RgcnLayerVars { rel: RelWeightVars::Bases { coeffs, bases }, ..full };
+            g.rgcn_layer(h, based, &edges);
             expect_clean(&g)
         }),
     ]

@@ -29,6 +29,12 @@ echo "==> determinism under a shuffled schedule (DEKG_SHUFFLE_SCHEDULE=1)"
 # out random uneven chunks in random spawn order: results must be
 # schedule-invariant, not merely thread-count-invariant.
 DEKG_SHUFFLE_SCHEDULE=1 cargo test -q -p dekg --test parallel_determinism --offline
+# Training arithmetic pins under the same perturbation: the golden fits
+# (each run at 1 and 2 worker threads inside the test) must land on
+# their recorded parameter hashes, and the fused R-GCN layer op must
+# match the unfused recording bit for bit, values and gradients.
+DEKG_SHUFFLE_SCHEDULE=1 cargo test -q -p dekg --test training_golden --offline
+DEKG_SHUFFLE_SCHEDULE=1 cargo test -q -p dekg-gnn --offline fused_
 # Trace integrity under the same perturbation: span nesting stays
 # well-formed with spans closing on many threads in shuffled order, and
 # the kernel profiler's calls/bytes columns are schedule-invariant.
